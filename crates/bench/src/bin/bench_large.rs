@@ -11,9 +11,8 @@
 //!   (one SKU carries ~91% of the work) under the legacy per-SKU shard
 //!   emulation (`chunk_size(usize::MAX)`) vs the default chunked
 //!   scheduler, with a built-in `>= 2x` speedup gate;
-//! * `cache_save_json_10k` / `cache_save_binary_10k` — appending 1,000
-//!   entries to a 10k-entry store and saving, whole-file JSON vs the
-//!   indexed binary log, with a built-in `>= 5x` speedup gate.
+//! * `cache_save_binary_10k` — appending 1,000 entries to a 10k-entry
+//!   record-log store and saving (checked against the baseline only).
 //!
 //! ```text
 //! bench_large --write --out BENCH_large.json   # refresh baseline
@@ -34,17 +33,13 @@ const SAMPLES: usize = 3;
 /// Entries pre-loaded into the cache-save stores.
 const STORE_ENTRIES: usize = 10_080;
 
-/// Entries appended inside the timed region of the cache-save benches.
-/// Large enough that the binary append path is well clear of timer
-/// granularity (~10ms) while the JSON whole-file rewrite still dominates
-/// its own setup.
+/// Entries appended inside the timed region of the cache-save bench.
+/// Large enough that the append path is well clear of timer granularity
+/// (~10ms).
 const STORE_APPENDS: usize = 1000;
 
 /// Minimum hot-SKU-skew speedup of work stealing over per-SKU shards.
 const MIN_STEAL_SPEEDUP: f64 = 2.0;
-
-/// Minimum cache-save speedup of the binary log over whole-file JSON.
-const MIN_SAVE_SPEEDUP: f64 = 5.0;
 
 const USAGE: &str = "\
 bench_large — 10k-scenario timing tier for the CI bench-large job
@@ -66,8 +61,7 @@ OPTIONS:
     --tolerance <frac>   allowed fractional regression (default 0.5;
                          env HPCADVISOR_BENCH_TOLERANCE overrides)
 
-The hot-SKU-skew >= 2x and cache-save >= 5x speedup gates always run, in
-both modes.
+The hot-SKU-skew >= 2x speedup gate always runs, in both modes.
 ";
 
 /// The 10k grid: 3 SKUs x 4 node counts x 840 mesh sizes = 10,080
@@ -177,7 +171,7 @@ fn store_entry(i: usize) -> (Fingerprint, hpcadvisor_core::dataset::DataPoint) {
 
 /// Times appending `STORE_APPENDS` entries to a 10k-entry store and
 /// saving. The store at `path` must already hold the first
-/// `STORE_ENTRIES` synthetic entries in the format under test.
+/// `STORE_ENTRIES` synthetic entries.
 fn cache_save(path: &PathBuf) -> f64 {
     let mut cache = ScenarioCache::open(path);
     assert_eq!(cache.len(), STORE_ENTRIES, "store must be pre-loaded");
@@ -190,16 +184,9 @@ fn cache_save(path: &PathBuf) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Builds a `STORE_ENTRIES`-entry store at `path`; `legacy_json` seeds it
-/// with a JSON header first so it persists in the legacy format.
-fn build_store(path: &PathBuf, legacy_json: bool) {
+/// Builds a `STORE_ENTRIES`-entry store at `path`.
+fn build_store(path: &PathBuf) {
     let _ = std::fs::remove_file(path);
-    let mut idx = path.as_os_str().to_os_string();
-    idx.push(".idx");
-    let _ = std::fs::remove_file(PathBuf::from(idx));
-    if legacy_json {
-        std::fs::write(path, "{\"version\": 1, \"entries\": {}}").expect("seed json store");
-    }
     let mut cache = ScenarioCache::open(path);
     for i in 0..STORE_ENTRIES {
         let (fp, p) = store_entry(i);
@@ -253,34 +240,23 @@ fn run_benches() -> Vec<BenchResult> {
         sample("hot_skew_stealing", || hot_skew(None)),
     ];
 
-    let json_store = tmp.join(format!(
-        "hpcadvisor-bench-large-{}-store.json",
-        std::process::id()
-    ));
     let bin_store = tmp.join(format!(
         "hpcadvisor-bench-large-{}-store.bin",
         std::process::id()
     ));
-    results.push(sample("cache_save_json_10k", || {
-        build_store(&json_store, true);
-        cache_save(&json_store)
-    }));
     results.push(sample("cache_save_binary_10k", || {
-        build_store(&bin_store, false);
+        build_store(&bin_store);
         cache_save(&bin_store)
     }));
 
-    for path in [&cache_path, &json_store, &bin_store] {
+    for path in [&cache_path, &bin_store] {
         let _ = std::fs::remove_file(path);
-        let mut idx = path.as_os_str().to_os_string();
-        idx.push(".idx");
-        let _ = std::fs::remove_file(PathBuf::from(idx));
     }
     results
 }
 
-/// The built-in speedup gates: these are the acceptance criteria the tier
-/// exists to prove, so they run in both `--write` and `--check` mode.
+/// The built-in speedup gate: the acceptance criterion the tier exists to
+/// prove, so it runs in both `--write` and `--check` mode.
 fn check_speedups(results: &[BenchResult]) -> bool {
     let get = |name: &str| {
         results
@@ -289,7 +265,6 @@ fn check_speedups(results: &[BenchResult]) -> bool {
             .map(|r| r.median_secs)
             .expect("bench measured")
     };
-    let mut ok = true;
     let steal = get("hot_skew_per_sku") / get("hot_skew_stealing");
     println!(
         "hot-SKU-skew speedup: {steal:.2}x (work stealing vs per-SKU shards, floor {MIN_STEAL_SPEEDUP:.1}x)"
@@ -298,17 +273,9 @@ fn check_speedups(results: &[BenchResult]) -> bool {
         eprintln!(
             "FAIL: work stealing must be >= {MIN_STEAL_SPEEDUP:.1}x on the hot-SKU-skew grid"
         );
-        ok = false;
+        return false;
     }
-    let save = get("cache_save_json_10k") / get("cache_save_binary_10k");
-    println!(
-        "cache-save speedup:   {save:.2}x (binary log vs whole-file JSON, floor {MIN_SAVE_SPEEDUP:.1}x)"
-    );
-    if save < MIN_SAVE_SPEEDUP {
-        eprintln!("FAIL: binary cache save must be >= {MIN_SAVE_SPEEDUP:.1}x vs whole-file JSON");
-        ok = false;
-    }
-    ok
+    true
 }
 
 fn to_json(results: &[BenchResult]) -> String {
@@ -357,8 +324,8 @@ fn main() {
     let mut out: Option<String> = None;
     // Wider default than bench_baseline's 25%: these are multi-second
     // grid-scale runs whose run-to-run medians swing ~30% on shared or
-    // single-core machines. The real acceptance gates are the relative
-    // speedup floors below, which divide out machine speed entirely.
+    // single-core machines. The real acceptance gate is the relative
+    // speedup floor, which divides out machine speed entirely.
     let mut tolerance = std::env::var("HPCADVISOR_BENCH_TOLERANCE")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())

@@ -3,7 +3,7 @@
 use crate::args::Args;
 use crate::state::{DeploymentRecord, WorkDir};
 use hpcadvisor_core::advice::{Advice, AdviceSort};
-use hpcadvisor_core::cache::{CachePolicy, ScenarioCache};
+use hpcadvisor_core::cache::{CachePolicy, ScenarioCache, StoreFormat};
 use hpcadvisor_core::collect::CollectPlan;
 use hpcadvisor_core::collector::{Collector, CollectorOptions};
 use hpcadvisor_core::deployment::DeploymentManager;
@@ -223,13 +223,16 @@ fn cache_cmd(args: &Args, workdir: &WorkDir, out: Out) -> Result<(), ToolError> 
             wline(out, &format!("cleared {n} cached results"))
         }
         Some("migrate") => {
+            // Legacy JSON stores open dirty, so saving rewrites them as a
+            // record log.
             let mut cache = ScenarioCache::open(&path);
-            if cache.migrate_to_binary() {
-                cache.save()?;
+            let legacy = cache.format() == StoreFormat::Json;
+            cache.save()?;
+            if legacy {
                 wline(
                     out,
                     &format!(
-                        "migrated {} cached results to the indexed binary store",
+                        "migrated {} cached results to the binary record log",
                         cache.len()
                     ),
                 )
@@ -981,8 +984,26 @@ mod tests {
         let (_, ok) = run_in(&dir, &["deploy", "create", "-c", config.to_str().unwrap()]);
         assert!(ok);
 
-        // Seed a legacy whole-file JSON store; collect keeps the format.
+        // A legacy whole-file JSON store is read as-is...
         std::fs::create_dir_all(dir.join("cache")).unwrap();
+        std::fs::write(
+            dir.join("cache/scenario-cache.json"),
+            "{\"version\": 1, \"entries\": {}}",
+        )
+        .unwrap();
+        let (out, _) = run_in(&dir, &["cache", "stats"]);
+        assert!(out.contains("store format: json"), "{out}");
+        assert!(out.contains("cached results: 0"), "{out}");
+
+        // ...and `cache migrate` (open + save) rewrites it as a record log.
+        let (out, ok) = run_in(&dir, &["cache", "migrate"]);
+        assert!(ok, "{out}");
+        assert!(out.contains("migrated 0 cached results"), "{out}");
+        let (out, _) = run_in(&dir, &["cache", "stats"]);
+        assert!(out.contains("store format: binary"), "{out}");
+
+        // A legacy store left unmigrated becomes a log on collect's save,
+        // with no sidecar or temp file beside it.
         std::fs::write(
             dir.join("cache/scenario-cache.json"),
             "{\"version\": 1, \"entries\": {}}",
@@ -991,16 +1012,16 @@ mod tests {
         let (out, ok) = run_in(&dir, &["collect"]);
         assert!(ok, "{out}");
         let (out, _) = run_in(&dir, &["cache", "stats"]);
-        assert!(out.contains("store format: json"), "{out}");
-        assert!(out.contains("cached results: 2"), "{out}");
-
-        // Migration converts in place and stats agree across formats.
-        let (out, ok) = run_in(&dir, &["cache", "migrate"]);
-        assert!(ok, "{out}");
-        assert!(out.contains("migrated 2 cached results"), "{out}");
-        let (out, _) = run_in(&dir, &["cache", "stats"]);
         assert!(out.contains("store format: binary"), "{out}");
         assert!(out.contains("cached results: 2"), "{out}");
+        let files: Vec<_> = std::fs::read_dir(dir.join("cache"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["scenario-cache.json"], "{files:?}");
+        let (out, ok) = run_in(&dir, &["cache", "migrate"]);
+        assert!(ok, "{out}");
+        assert!(out.contains("already in the binary format"), "{out}");
 
         // The migrated store still serves a warm collect in full.
         let scenarios_json = dir.join("scenarios.json");

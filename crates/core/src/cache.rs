@@ -28,18 +28,15 @@
 //! hit (see [`rehydrate_point`]). This is what lets a widened grid (which
 //! shifts scenario ids) still reuse every already-known point.
 //!
-//! Persistence is an **indexed binary record log** under the CLI work
-//! directory's `cache/` folder: a length-prefixed, checksummed append-only
-//! log of `(fingerprint, point)` records plus a sibling
-//! fingerprint → offset index (`<store>.idx`). Saving appends only the
-//! records added since the last save — O(new entries), not O(store) — and
-//! compacts via atomic segment rotation (write-temp-then-rename, log
-//! before index) once superseded records outnumber live ones. Legacy
-//! whole-file JSON stores are read transparently and keep saving as JSON
-//! until converted with `cache migrate`. A torn log tail or damaged index
-//! salvages every intact record and rebuilds on the next save — never a
-//! cold run; only an unrecognizable store (no magic, unparsable JSON)
-//! degrades to cold instead of erroring.
+//! Persistence is a binary [`RecordLog`] under the CLI work directory's
+//! `cache/` folder: one checksummed `(fingerprint, point)` record per entry.
+//! Saving appends only the records added since the last save — O(new
+//! entries), not O(store) — and rotates the log (a temp file moved into place)
+//! once superseded records outnumber live ones. A torn log tail salvages
+//! every intact record and is truncated by the next save — never a cold
+//! run. Legacy whole-file JSON stores are still read and are rewritten as a
+//! log on the next save; only an unrecognizable store degrades to cold
+//! instead of erroring.
 //!
 //! Concurrency: fingerprinting and lookup happen once, up front, on the
 //! coordinating thread; shard workers only ever see the miss list and
@@ -48,35 +45,30 @@
 
 use crate::dataset::{point_to_value, value_to_point, DataPoint};
 use crate::error::ToolError;
+use crate::record_log::{Contents, RecordLog};
 use crate::scenario::{Scenario, ScenarioStatus};
-use hpcadvisor_formats::{json, OrderedMap, Value};
+use hpcadvisor_formats::json;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Version of the on-disk cache schema. Files written by a different
+/// Version of the legacy JSON store schema. JSON files of a different
 /// schema are discarded wholesale (treated as a cold cache).
 const STORE_VERSION: i64 = 1;
 
-/// Magic prefix of a binary record log (8 bytes, version in the tail).
-const LOG_MAGIC: &[u8; 8] = b"HPCAV001";
-
-/// Magic prefix of the sidecar fingerprint → offset index.
-const IDX_MAGIC: &[u8; 8] = b"HPCAIDX1";
-
-/// Fixed byte size of one index record: 16-byte fingerprint + u64 offset.
-const IDX_RECORD: usize = 24;
+/// Magic that opens the binary record log.
+const LOG_MAGIC: [u8; 8] = *b"HPCAV001";
 
 /// On-disk format of a persistent store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreFormat {
-    /// Length-prefixed binary record log with a sidecar index (default for
-    /// new stores).
+    /// Binary record log (every store once saved).
     #[default]
     Binary,
-    /// Legacy whole-file pretty-printed JSON (rewritten in full per save).
+    /// Legacy whole-file JSON, read as-is and rewritten as a binary log on
+    /// the next save.
     Json,
 }
 
@@ -90,117 +82,19 @@ impl StoreFormat {
     }
 }
 
-/// FNV-1a-64 over a record payload — the per-record checksum that catches
-/// torn or bit-rotted log writes.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Sidecar index path: the store path with `.idx` appended (not swapped,
-/// so `scenario-cache.bin` and a migrated `scenario-cache.json` cannot
-/// collide on one index name).
-fn index_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".idx");
-    PathBuf::from(os)
-}
-
-/// Appends one log record: `[u32 LE payload len][payload][u64 LE FNV-1a]`
-/// where the payload is the 16-byte big-endian fingerprint followed by the
+/// One record payload: the 16-byte big-endian fingerprint followed by the
 /// point's compact JSON.
-fn encode_record(buf: &mut Vec<u8>, fp: u128, point: &DataPoint) {
-    let mut payload = Vec::with_capacity(160);
-    payload.extend_from_slice(&fp.to_be_bytes());
+fn encode_payload(fp: u128, point: &DataPoint) -> Vec<u8> {
+    let mut payload = fp.to_be_bytes().to_vec();
     payload.extend_from_slice(json::to_string(&point_to_value(point)).as_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let sum = fnv64(&payload);
-    buf.extend_from_slice(&payload);
-    buf.extend_from_slice(&sum.to_le_bytes());
+    payload
 }
 
-/// What a binary-log scan recovered.
-struct LogScan {
-    entries: HashMap<u128, DataPoint>,
-    /// Log offset of each live fingerprint's (last) record.
-    offsets: HashMap<u128, u64>,
-    /// Byte length of the valid log prefix.
-    valid_len: u64,
-    /// True when trailing bytes after the valid prefix had to be dropped
-    /// (torn final write, or mid-log corruption truncating the scan).
-    torn: bool,
-    /// Superseded records encountered (same fingerprint written twice).
-    dead: usize,
-}
-
-/// Walks a binary log, salvaging every intact record. Stops at the first
-/// record that fails its length, checksum, or JSON decode — everything
-/// before it is kept.
-fn scan_log(bytes: &[u8]) -> LogScan {
-    let mut entries = HashMap::new();
-    let mut offsets = HashMap::new();
-    let mut dead = 0usize;
-    let mut pos = LOG_MAGIC.len();
-    while let Some(len_bytes) = bytes.get(pos..pos + 4) {
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-        let Some(payload) = bytes.get(pos + 4..pos + 4 + len) else {
-            break;
-        };
-        let Some(sum_bytes) = bytes.get(pos + 4 + len..pos + 12 + len) else {
-            break;
-        };
-        let sum = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-        if len < 16 || fnv64(payload) != sum {
-            break;
-        }
-        let fp = u128::from_be_bytes(payload[..16].try_into().expect("16 bytes"));
-        let Ok(text) = std::str::from_utf8(&payload[16..]) else {
-            break;
-        };
-        let Ok(point) = json::parse(text)
-            .map_err(ToolError::from)
-            .and_then(|v| value_to_point(&v))
-        else {
-            break;
-        };
-        if entries.insert(fp, point).is_some() {
-            dead += 1;
-        }
-        offsets.insert(fp, pos as u64);
-        pos += 12 + len;
-    }
-    LogScan {
-        entries,
-        offsets,
-        valid_len: pos as u64,
-        torn: pos != bytes.len(),
-        dead,
-    }
-}
-
-/// Reads the sidecar index and reports whether it exactly matches the
-/// offsets the log scan recovered. A missing, damaged, or stale index is
-/// never fatal — the log is the source of truth — it just schedules an
-/// index rebuild on the next save.
-fn index_matches(path: &Path, offsets: &HashMap<u128, u64>) -> bool {
-    let Ok(bytes) = std::fs::read(path) else {
-        return offsets.is_empty();
-    };
-    if !bytes.starts_with(IDX_MAGIC) || !(bytes.len() - IDX_MAGIC.len()).is_multiple_of(IDX_RECORD)
-    {
-        return false;
-    }
-    let records = &bytes[IDX_MAGIC.len()..];
-    let mut seen: HashMap<u128, u64> = HashMap::with_capacity(records.len() / IDX_RECORD);
-    for rec in records.chunks_exact(IDX_RECORD) {
-        let fp = u128::from_be_bytes(rec[..16].try_into().expect("16 bytes"));
-        let off = u64::from_le_bytes(rec[16..].try_into().expect("8 bytes"));
-        seen.insert(fp, off);
-    }
-    seen == *offsets
+fn decode_payload(payload: &[u8]) -> Option<(u128, DataPoint)> {
+    let fp = u128::from_be_bytes(payload.get(..16)?.try_into().ok()?);
+    let text = std::str::from_utf8(&payload[16..]).ok()?;
+    let point = value_to_point(&json::parse(text).ok()?).ok()?;
+    Some((fp, point))
 }
 
 /// How a collection run uses the scenario cache.
@@ -384,40 +278,31 @@ pub struct CacheStoreStats {
 
 /// The content-addressed scenario-result store.
 ///
-/// In-memory by default; [`ScenarioCache::open`] binds it to a file.
-/// New stores persist as an indexed binary record log
-/// ([`StoreFormat::Binary`]): [`ScenarioCache::save`] appends only the
-/// records added since the last save and rotates the segment atomically
-/// (temp-then-rename, log before index) when compaction is due. Stores
-/// holding legacy JSON keep the JSON whole-file format until
-/// [`ScenarioCache::migrate_to_binary`] converts them in place.
+/// In-memory by default; [`ScenarioCache::open`] binds it to a
+/// [`RecordLog`]. [`ScenarioCache::save`] appends only the records added
+/// since the last save, and rotates the log when compaction is due or the
+/// file on disk is not yet a log (legacy JSON, unrecognizable, cleared).
 #[derive(Debug, Default)]
 pub struct ScenarioCache {
     entries: HashMap<u128, DataPoint>,
-    path: Option<PathBuf>,
+    log: Option<RecordLog>,
     recovered: bool,
     /// True when the in-memory entries differ from the backing file:
     /// [`ScenarioCache::save`] skips the rewrite entirely when clean, so a
-    /// warm all-hits run never touches the store. Recovered opens start
-    /// dirty — the next save heals the damaged file.
+    /// warm all-hits run never touches the store. Damaged, legacy and
+    /// dead-heavy opens start dirty — the next save heals the file.
     dirty: bool,
     format: StoreFormat,
-    /// Binary mode: log offset of every live fingerprint's record.
-    offsets: HashMap<u128, u64>,
-    /// Binary mode: byte length of the valid log prefix on disk.
-    valid_len: u64,
-    /// Binary mode: fingerprints inserted or changed since the last save —
-    /// the records the next save appends.
+    /// Fingerprints inserted or changed since the last save — the records
+    /// the next save appends.
     pending: Vec<u128>,
-    /// Binary mode: superseded records in the on-disk log. Once they
-    /// outnumber live entries, the next save compacts instead of appending.
-    dead: usize,
-    /// Binary mode: the next save must rewrite the whole segment (fresh
-    /// store, salvaged tail, clear, migration, or compaction due).
-    rewrite_needed: bool,
-    /// Binary mode: the sidecar index disagreed with the log (or was
-    /// missing); the next save rebuilds it even without new entries.
-    index_stale: bool,
+    /// Records in the on-disk log, live and superseded. Once superseded
+    /// records would outnumber live ones, the next save rotates instead of
+    /// appending.
+    records: usize,
+    /// The next save must rotate: the file is not exactly a log of the
+    /// saved entries (legacy JSON, undecodable records, or a clear).
+    rotate: bool,
 }
 
 impl ScenarioCache {
@@ -427,61 +312,48 @@ impl ScenarioCache {
         ScenarioCache::default()
     }
 
-    /// Opens a file-backed cache, sniffing the on-disk format. A missing
-    /// file starts an empty binary store; a file opening with the binary
-    /// magic loads the record log (salvaging every intact record if the
-    /// tail is torn or the index disagrees — never cold); anything else is
-    /// treated as a legacy JSON store, which keeps the JSON format until
-    /// migrated. Only an unparsable legacy file starts cold, with the
-    /// `recovered` flag set — never an error, since a damaged cache must
-    /// cost a re-run, not a failure.
+    /// Opens a file-backed cache. A missing file starts an empty store; a
+    /// record log loads every intact record (last record per fingerprint
+    /// wins; a torn tail is flagged `recovered` and truncated by the next
+    /// save — never cold); anything else is read as a legacy JSON store and
+    /// rewritten as a log on the next save. Only an unparsable legacy file
+    /// starts cold, with the `recovered` flag set — never an error, since a
+    /// damaged cache must cost a re-run, not a failure.
     pub fn open(path: impl AsRef<Path>) -> Self {
-        let path = path.as_ref().to_path_buf();
-        match std::fs::read(&path) {
-            // Missing file: a fresh binary store.
-            Err(_) => ScenarioCache {
-                path: Some(path),
-                rewrite_needed: true,
-                ..ScenarioCache::default()
-            },
-            Ok(bytes) if bytes.starts_with(LOG_MAGIC) => {
-                let scan = scan_log(&bytes);
-                let index_stale = scan.torn || !index_matches(&index_path(&path), &scan.offsets);
-                let dead_heavy = scan.dead > scan.entries.len();
-                ScenarioCache {
-                    entries: scan.entries,
-                    path: Some(path),
-                    recovered: scan.torn,
-                    // A torn tail, stale index, or dead-heavy log heals on
-                    // the next save even without new inserts.
-                    dirty: scan.torn || index_stale || dead_heavy,
-                    format: StoreFormat::Binary,
-                    offsets: scan.offsets,
-                    valid_len: scan.valid_len,
-                    pending: Vec::new(),
-                    dead: scan.dead,
-                    rewrite_needed: scan.torn || dead_heavy,
-                    index_stale,
+        let (log, contents) = RecordLog::open(path, LOG_MAGIC);
+        let mut cache = ScenarioCache {
+            log: Some(log),
+            ..ScenarioCache::default()
+        };
+        match contents {
+            Contents::Missing => {}
+            Contents::Framed { records, torn } => {
+                cache.records = records.len();
+                for payload in &records {
+                    match decode_payload(payload) {
+                        Some((fp, point)) => {
+                            cache.entries.insert(fp, point);
+                        }
+                        None => cache.rotate = true,
+                    }
                 }
+                cache.recovered = torn || cache.rotate;
+                cache.dirty = cache.recovered || cache.compaction_due(0);
             }
-            Ok(bytes) => {
-                let (entries, recovered) = match std::str::from_utf8(&bytes)
+            Contents::Foreign(bytes) => {
+                match std::str::from_utf8(&bytes)
                     .map_err(|_| ())
                     .and_then(|text| parse_store(text).map_err(|_| ()))
                 {
-                    Ok(entries) => (entries, false),
-                    Err(()) => (HashMap::new(), true),
-                };
-                ScenarioCache {
-                    entries,
-                    path: Some(path),
-                    recovered,
-                    dirty: recovered,
-                    format: StoreFormat::Json,
-                    ..ScenarioCache::default()
+                    Ok(entries) => cache.entries = entries,
+                    Err(()) => cache.recovered = true,
                 }
+                cache.format = StoreFormat::Json;
+                cache.dirty = true;
+                cache.rotate = true;
             }
         }
+        cache
     }
 
     /// Number of cached points.
@@ -496,16 +368,16 @@ impl ScenarioCache {
 
     /// The backing file, if any.
     pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
+        self.log.as_ref().map(RecordLog::path)
     }
 
     /// True if a damaged backing file was discarded (unrecognizable store)
-    /// or salvaged (torn binary log) on open.
+    /// or salvaged (torn or undecodable log records) on open.
     pub fn recovered(&self) -> bool {
         self.recovered
     }
 
-    /// On-disk format the store persists as.
+    /// On-disk format of the backing file.
     pub fn format(&self) -> StoreFormat {
         self.format
     }
@@ -514,7 +386,7 @@ impl ScenarioCache {
     pub fn stats(&self) -> CacheStoreStats {
         CacheStoreStats {
             entries: self.entries.len(),
-            path: self.path.clone(),
+            path: self.path().map(Path::to_path_buf),
             recovered: self.recovered,
             format: self.format,
         }
@@ -537,15 +409,8 @@ impl ScenarioCache {
         if self.entries.get(&fp.0) == Some(point) {
             return false;
         }
-        if self.entries.insert(fp.0, point.clone()).is_some() && self.offsets.contains_key(&fp.0) {
-            // Superseding an on-disk record leaves it dead in the log; the
-            // appended replacement wins on load (last record per key).
-            self.dead += 1;
-        }
+        self.entries.insert(fp.0, point.clone());
         self.pending.push(fp.0);
-        if self.dead > self.entries.len() {
-            self.rewrite_needed = true;
-        }
         self.dirty = true;
         true
     }
@@ -555,25 +420,10 @@ impl ScenarioCache {
     pub fn clear(&mut self) {
         if !self.entries.is_empty() {
             self.dirty = true;
-            self.rewrite_needed = true;
+            self.rotate = true;
         }
         self.entries.clear();
         self.pending.clear();
-    }
-
-    /// Converts a legacy JSON store to the indexed binary format in place
-    /// (the CLI's `cache migrate`): the same path re-persists as a binary
-    /// record log on the next [`ScenarioCache::save`], plus the sidecar
-    /// index. Returns `false` (and changes nothing) when the store is
-    /// already binary or purely in-memory.
-    pub fn migrate_to_binary(&mut self) -> bool {
-        if self.format == StoreFormat::Binary || self.path.is_none() {
-            return false;
-        }
-        self.format = StoreFormat::Binary;
-        self.rewrite_needed = true;
-        self.dirty = true;
-        true
     }
 
     /// True when the in-memory entries differ from the backing file.
@@ -581,144 +431,47 @@ impl ScenarioCache {
         self.dirty
     }
 
+    /// True when appending `appends` more records would leave superseded
+    /// records outnumbering live ones.
+    fn compaction_due(&self, appends: usize) -> bool {
+        self.records + appends > 2 * self.entries.len()
+    }
+
     /// Writes the store to its backing file (no-op for in-memory caches
     /// and for clean stores — an all-hits warm run rewrites nothing).
     ///
-    /// Binary stores append only the records inserted since the last save
-    /// (O(new entries)); a full segment rotation happens only on the first
-    /// save, after `clear`/`migrate`, or when dead records outnumber live
-    /// ones. Rotations and legacy-JSON saves go to a sibling temp file
-    /// first and rename into place, so a crash mid-save leaves the old
-    /// cache intact; the record log is always renamed before the index, so
-    /// a crash between the two is caught as an index mismatch on reopen.
+    /// Appends one record per entry inserted since the last save, in one
+    /// write; rotates the whole log (one record per live entry, in
+    /// fingerprint order) when the file is not yet a log of the saved
+    /// entries or compaction is due.
     pub fn save(&mut self) -> Result<(), ToolError> {
-        let Some(path) = self.path.clone() else {
-            return Ok(());
-        };
-        if !self.dirty {
+        if !self.dirty || self.log.is_none() {
             return Ok(());
         }
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        match self.format {
-            StoreFormat::Json => self.save_json(&path)?,
-            StoreFormat::Binary => {
-                if self.rewrite_needed || !path.exists() {
-                    self.rotate_segment(&path)?;
-                } else {
-                    self.append_segment(&path)?;
-                }
-            }
-        }
-        self.dirty = false;
-        Ok(())
-    }
-
-    fn save_json(&mut self, path: &Path) -> Result<(), ToolError> {
-        let mut keys: Vec<&u128> = self.entries.keys().collect();
-        keys.sort_unstable();
-        let mut entries = OrderedMap::new();
-        for k in keys {
-            entries.insert(Fingerprint(*k).to_hex(), point_to_value(&self.entries[k]));
-        }
-        let mut doc = OrderedMap::new();
-        doc.insert("version", Value::Int(STORE_VERSION));
-        doc.insert("entries", Value::Map(entries));
-        let text = json::to_string_pretty(&Value::Map(doc));
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Full rewrite: fresh log with one record per live entry in
-    /// fingerprint order, then a fresh index. The log renames first —
-    /// it is the source of truth and a crash before the index rename
-    /// leaves a mismatched index, which reopen detects and rebuilds.
-    fn rotate_segment(&mut self, path: &Path) -> Result<(), ToolError> {
-        let mut keys: Vec<u128> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        let mut log = Vec::with_capacity(LOG_MAGIC.len() + self.entries.len() * 128);
-        log.extend_from_slice(LOG_MAGIC);
-        self.offsets.clear();
-        for fp in &keys {
-            self.offsets.insert(*fp, log.len() as u64);
-            encode_record(&mut log, *fp, &self.entries[fp]);
-        }
-        let tmp = path.with_extension("bin.tmp");
-        std::fs::write(&tmp, &log)?;
-        std::fs::rename(&tmp, path)?;
-        self.write_index(path, &keys)?;
-        self.valid_len = log.len() as u64;
-        self.dead = 0;
-        self.pending.clear();
-        self.rewrite_needed = false;
-        self.index_stale = false;
-        self.recovered = false;
-        Ok(())
-    }
-
-    /// Incremental save: append one record per pending insert to the log
-    /// (after truncating any torn tail past `valid_len`), then extend the
-    /// index with the matching offsets.
-    fn append_segment(&mut self, path: &Path) -> Result<(), ToolError> {
-        let mut fresh: Vec<u128> = std::mem::take(&mut self.pending);
+        let mut fresh = self.pending.clone();
         fresh.sort_unstable();
         fresh.dedup();
-        let mut log = Vec::new();
-        let mut appended = Vec::with_capacity(fresh.len());
-        for fp in fresh {
-            let Some(point) = self.entries.get(&fp) else {
-                continue; // inserted then cleared before a rotation; skip
-            };
-            self.offsets.insert(fp, self.valid_len + log.len() as u64);
-            encode_record(&mut log, fp, point);
-            appended.push(fp);
+        fresh.retain(|fp| self.entries.contains_key(fp));
+        let rotate = self.rotate || self.compaction_due(fresh.len());
+        if rotate {
+            fresh = self.entries.keys().copied().collect();
+            fresh.sort_unstable();
         }
-        if !log.is_empty() {
-            use std::io::{Seek, SeekFrom, Write};
-            let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
-            // Truncate any torn tail past the salvage point before appending.
-            file.set_len(self.valid_len)?;
-            file.seek(SeekFrom::End(0))?;
-            file.write_all(&log)?;
-            file.flush()?;
-            self.valid_len += log.len() as u64;
+        let entries = &self.entries;
+        let payloads = fresh.iter().map(|fp| encode_payload(*fp, &entries[fp]));
+        let log = self.log.as_mut().expect("file-backed store");
+        if rotate {
+            log.rotate(payloads)?;
+            self.records = fresh.len();
+            self.rotate = false;
+        } else {
+            log.append_all(payloads)?;
+            self.records += fresh.len();
         }
-        if self.index_stale {
-            let mut keys: Vec<u128> = self.offsets.keys().copied().collect();
-            keys.sort_unstable();
-            self.write_index(path, &keys)?;
-            self.index_stale = false;
-        } else if !appended.is_empty() {
-            use std::io::Write;
-            let mut buf = Vec::with_capacity(appended.len() * IDX_RECORD);
-            for fp in &appended {
-                buf.extend_from_slice(&fp.to_be_bytes());
-                buf.extend_from_slice(&self.offsets[fp].to_le_bytes());
-            }
-            let mut file = std::fs::OpenOptions::new()
-                .append(true)
-                .open(index_path(path))?;
-            file.write_all(&buf)?;
-            file.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Rewrites the sidecar index from scratch (tmp + rename).
-    fn write_index(&self, path: &Path, keys: &[u128]) -> Result<(), ToolError> {
-        let mut idx = Vec::with_capacity(IDX_MAGIC.len() + keys.len() * IDX_RECORD);
-        idx.extend_from_slice(IDX_MAGIC);
-        for fp in keys {
-            idx.extend_from_slice(&fp.to_be_bytes());
-            idx.extend_from_slice(&self.offsets[fp].to_le_bytes());
-        }
-        let idx_file = index_path(path);
-        let tmp = idx_file.with_extension("idx.tmp");
-        std::fs::write(&tmp, &idx)?;
-        std::fs::rename(&tmp, &idx_file)?;
+        self.pending.clear();
+        self.format = StoreFormat::Binary;
+        self.recovered = false;
+        self.dirty = false;
         Ok(())
     }
 }
@@ -1026,34 +779,45 @@ mod tests {
         assert!(clone.save().is_ok(), "in-memory save is a no-op");
     }
 
+    /// Three distinct completed points and their fingerprints.
+    fn three_points() -> Vec<(Fingerprint, DataPoint)> {
+        let fpr = Fingerprinter::new("lammps", "s", 42, 1);
+        (1..=3u32)
+            .map(|id| {
+                let s = scenario(id, "Standard_HB120rs_v3", id);
+                let p = point(
+                    id,
+                    "lammps",
+                    "Standard_HB120rs_v3",
+                    id,
+                    120,
+                    10.0 + f64::from(id),
+                    0.05,
+                );
+                (fpr.scenario(&s), p)
+            })
+            .collect()
+    }
+
     #[test]
-    fn new_stores_are_binary_with_a_sidecar_index() {
+    fn new_stores_save_as_a_lone_record_log() {
         let path = tempfile("binary-fresh");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
-        let fpr = Fingerprinter::new("lammps", "s", 42, 1);
         let mut cache = ScenarioCache::open(&path);
         assert_eq!(cache.format(), StoreFormat::Binary);
-        for id in 1..=3u32 {
-            let s = scenario(id, "Standard_HB120rs_v3", id);
-            let p = point(
-                id,
-                "lammps",
-                "Standard_HB120rs_v3",
-                id,
-                120,
-                10.0 + f64::from(id),
-                0.05,
-            );
-            assert!(cache.insert(fpr.scenario(&s), &p));
+        for (fp, p) in three_points() {
+            assert!(cache.insert(fp, &p));
         }
         cache.save().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.starts_with(LOG_MAGIC), "log leads with the magic");
-        let idx = std::fs::read(index_path(&path)).unwrap();
-        assert!(idx.starts_with(IDX_MAGIC), "index leads with the magic");
-        assert_eq!((idx.len() - IDX_MAGIC.len()) % IDX_RECORD, 0);
-        assert_eq!((idx.len() - IDX_MAGIC.len()) / IDX_RECORD, 3);
+        assert!(std::fs::read(&path).unwrap().starts_with(&LOG_MAGIC));
+        let dir = path.parent().unwrap();
+        let stem = path.file_name().unwrap().to_str().unwrap();
+        let siblings: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with(stem) && name != stem)
+            .collect();
+        assert!(siblings.is_empty(), "no sidecar files: {siblings:?}");
 
         let warm = ScenarioCache::open(&path);
         assert_eq!(warm.len(), 3);
@@ -1061,14 +825,12 @@ mod tests {
         assert!(!warm.is_dirty(), "clean binary open stays clean");
         assert_eq!(warm.stats().format, StoreFormat::Binary);
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
     }
 
     #[test]
     fn binary_saves_append_instead_of_rewriting() {
         let path = tempfile("binary-append");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
         let fpr = Fingerprinter::new("lammps", "s", 42, 1);
         let mut cache = ScenarioCache::open(&path);
         let s1 = scenario(1, "Standard_HB120rs_v3", 2);
@@ -1092,32 +854,18 @@ mod tests {
         let warm = ScenarioCache::open(&path);
         assert_eq!(warm.len(), 2);
         assert_eq!(warm.lookup(fpr.scenario(&s2)), Some(p2));
-        assert!(!warm.is_dirty(), "appended index matches the log");
+        assert!(!warm.is_dirty());
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
     }
 
     #[test]
     fn torn_log_tail_salvages_intact_records() {
         let path = tempfile("binary-torn");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
-        let fpr = Fingerprinter::new("lammps", "s", 42, 1);
+        let mut fps = three_points();
         let mut cache = ScenarioCache::open(&path);
-        let mut fps = Vec::new();
-        for id in 1..=3u32 {
-            let s = scenario(id, "Standard_HB120rs_v3", id);
-            let p = point(
-                id,
-                "lammps",
-                "Standard_HB120rs_v3",
-                id,
-                120,
-                10.0 + f64::from(id),
-                0.05,
-            );
-            fps.push((fpr.scenario(&s), p.clone()));
-            cache.insert(fpr.scenario(&s), &p);
+        for (fp, p) in &fps {
+            cache.insert(*fp, p);
         }
         cache.save().unwrap();
 
@@ -1129,8 +877,8 @@ mod tests {
         assert_eq!(salvaged.len(), 2, "intact prefix survives, not a cold run");
         assert!(salvaged.recovered(), "the torn tail is flagged");
         assert!(salvaged.is_dirty(), "salvage heals on the next save");
-        // Rotation lays records out in fingerprint order; the torn record
-        // is the highest fingerprint, the other two survive.
+        // Saves lay records out in fingerprint order; the torn record is
+        // the highest fingerprint, the other two survive.
         fps.sort_by_key(|(fp, _)| *fp);
         for (fp, p) in &fps[..2] {
             assert_eq!(salvaged.lookup(*fp), Some(p.clone()));
@@ -1140,71 +888,28 @@ mod tests {
         assert_eq!(healed.len(), 2);
         assert!(!healed.recovered() && !healed.is_dirty());
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
-    }
-
-    #[test]
-    fn damaged_or_missing_index_rebuilds_from_the_log() {
-        let path = tempfile("binary-idx");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
-        let fpr = Fingerprinter::new("lammps", "s", 42, 1);
-        let s = scenario(1, "Standard_HB120rs_v3", 2);
-        let p = point(1, "lammps", "Standard_HB120rs_v3", 2, 120, 11.0, 0.05);
-        let fp = fpr.scenario(&s);
-        let mut cache = ScenarioCache::open(&path);
-        cache.insert(fp, &p);
-        cache.save().unwrap();
-
-        for damage in ["missing", "garbage", "stale"] {
-            match damage {
-                "missing" => {
-                    let _ = std::fs::remove_file(index_path(&path));
-                }
-                "garbage" => std::fs::write(index_path(&path), b"not an index").unwrap(),
-                _ => {
-                    // Valid framing, wrong offset.
-                    let mut idx = Vec::new();
-                    idx.extend_from_slice(IDX_MAGIC);
-                    idx.extend_from_slice(&fp.0.to_be_bytes());
-                    idx.extend_from_slice(&999u64.to_le_bytes());
-                    std::fs::write(index_path(&path), &idx).unwrap();
-                }
-            }
-            let mut opened = ScenarioCache::open(&path);
-            assert_eq!(opened.len(), 1, "{damage}: the log is the truth");
-            assert!(!opened.recovered(), "{damage}: no data was lost");
-            assert!(
-                opened.is_dirty(),
-                "{damage}: the index rebuild is scheduled"
-            );
-            assert_eq!(opened.lookup(fp), Some(p.clone()), "{damage}");
-            opened.save().unwrap();
-            assert!(!ScenarioCache::open(&path).is_dirty(), "{damage}: rebuilt");
-        }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
     }
 
     #[test]
     fn dead_heavy_logs_compact_on_save() {
         let path = tempfile("binary-compact");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
         let fpr = Fingerprinter::new("lammps", "s", 42, 1);
         let s = scenario(1, "Standard_HB120rs_v3", 2);
         let fp = fpr.scenario(&s);
-        // Hand-write a log where the same key was superseded twice: two
-        // dead records against one live one.
-        let mut log = Vec::new();
-        log.extend_from_slice(LOG_MAGIC);
+        // Write a log where the same key was superseded twice: two dead
+        // records against one live one.
         let mut last = point(1, "lammps", "Standard_HB120rs_v3", 2, 120, 11.0, 0.05);
+        let mut payloads = Vec::new();
         for round in 0..3u32 {
             last = point(1, "lammps", "Standard_HB120rs_v3", 2, 120, 11.0, 0.05);
             last.exec_time_secs += f64::from(round);
-            encode_record(&mut log, fp.0, &last);
+            payloads.push(encode_payload(fp.0, &last));
         }
-        std::fs::write(&path, &log).unwrap();
+        RecordLog::fresh(&path, LOG_MAGIC)
+            .append_all(&payloads)
+            .unwrap();
+        let dead_heavy = std::fs::read(&path).unwrap().len();
 
         let mut cache = ScenarioCache::open(&path);
         assert_eq!(cache.len(), 1);
@@ -1212,82 +917,86 @@ mod tests {
         assert!(!cache.recovered(), "dead records are not data loss");
         assert!(cache.is_dirty(), "2 dead vs 1 live schedules compaction");
         cache.save().unwrap();
-        let compacted = std::fs::read(&path).unwrap();
-        assert!(
-            compacted.len() < log.len(),
-            "rotation drops the dead records"
-        );
+        let compacted = std::fs::read(&path).unwrap().len();
+        assert!(compacted < dead_heavy, "rotation drops the dead records");
         let reopened = ScenarioCache::open(&path);
         assert_eq!(reopened.len(), 1);
         assert!(!reopened.is_dirty());
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
     }
 
     #[test]
-    fn legacy_json_reads_and_migrates_byte_identically() {
+    fn parent_format_logs_open_without_migration() {
+        // A log framed byte by byte as earlier releases wrote it:
+        // "HPCAV001", then [u32 LE len][16-byte BE fp + JSON][u64 LE FNV-1a].
+        fn fnv64(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+            })
+        }
+        let path = tempfile("parent-format");
+        let fps = three_points();
+        let mut log = b"HPCAV001".to_vec();
+        for (fp, p) in &fps {
+            let mut payload = fp.0.to_be_bytes().to_vec();
+            payload.extend_from_slice(json::to_string(&point_to_value(p)).as_bytes());
+            log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            log.extend_from_slice(&payload);
+            log.extend_from_slice(&fnv64(&payload).to_le_bytes());
+        }
+        std::fs::write(&path, &log).unwrap();
+
+        let mut cache = ScenarioCache::open(&path);
+        assert_eq!(cache.format(), StoreFormat::Binary);
+        assert!(!cache.recovered() && !cache.is_dirty(), "opens as it is");
+        for (fp, p) in &fps {
+            assert_eq!(cache.lookup(*fp), Some(p.clone()));
+        }
+        cache.save().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), log, "nothing rewritten");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn legacy_json_reads_then_migrates_on_first_save() {
+        use hpcadvisor_formats::{OrderedMap, Value};
         let path = tempfile("legacy-migrate");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
-        let fpr = Fingerprinter::new("lammps", "s", 42, 1);
-        let mut fps = Vec::new();
+        let fps = three_points();
         // Hand-write a legacy JSON store, the format older releases saved.
         let mut entries = OrderedMap::new();
-        for id in 1..=3u32 {
-            let s = scenario(id, "Standard_HB120rs_v3", id);
-            let p = point(
-                id,
-                "lammps",
-                "Standard_HB120rs_v3",
-                id,
-                120,
-                10.0 + f64::from(id),
-                0.05,
-            );
-            let fp = fpr.scenario(&s);
-            entries.insert(fp.to_hex(), point_to_value(&p));
-            fps.push((fp, p));
+        for (fp, p) in &fps {
+            entries.insert(fp.to_hex(), point_to_value(p));
         }
         let mut doc = OrderedMap::new();
         doc.insert("version", Value::Int(STORE_VERSION));
         doc.insert("entries", Value::Map(entries));
         std::fs::write(&path, json::to_string_pretty(&Value::Map(doc))).unwrap();
 
-        // Transparent read: the store opens as JSON and keeps saving JSON.
+        // Transparent read; the store is dirty so the next save migrates.
         let mut cache = ScenarioCache::open(&path);
         assert_eq!(cache.format(), StoreFormat::Json);
         assert_eq!(cache.len(), 3);
         assert!(!cache.recovered());
+        assert!(cache.is_dirty(), "legacy stores are rewritten on save");
+        let fpr = Fingerprinter::new("lammps", "s", 42, 1);
         let s4 = scenario(4, "Standard_HC44rs", 4);
         let p4 = point(4, "lammps", "Standard_HC44rs", 4, 44, 14.0, 0.03);
         cache.insert(fpr.scenario(&s4), &p4);
         cache.save().unwrap();
-        assert!(
-            std::fs::read(&path).unwrap().starts_with(b"{"),
-            "unmigrated stores stay JSON"
-        );
+        assert_eq!(cache.format(), StoreFormat::Binary);
+        assert!(std::fs::read(&path).unwrap().starts_with(&LOG_MAGIC));
 
-        // Migration converts in place; every point survives bit-for-bit.
-        let mut cache = ScenarioCache::open(&path);
-        assert!(cache.migrate_to_binary());
-        assert!(!cache.migrate_to_binary(), "second migrate is a no-op");
-        cache.save().unwrap();
-        assert!(std::fs::read(&path).unwrap().starts_with(LOG_MAGIC));
+        // Every point survives bit-for-bit.
         let migrated = ScenarioCache::open(&path);
         assert_eq!(migrated.format(), StoreFormat::Binary);
         assert_eq!(migrated.len(), 4);
+        assert!(!migrated.is_dirty());
         for (fp, p) in &fps {
             assert_eq!(migrated.lookup(*fp), Some(p.clone()));
         }
         assert_eq!(migrated.lookup(fpr.scenario(&s4)), Some(p4));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(index_path(&path));
-    }
-
-    #[test]
-    fn in_memory_stores_never_migrate() {
-        let mut cache = ScenarioCache::in_memory();
-        assert!(!cache.migrate_to_binary(), "nothing to persist");
     }
 
     #[test]

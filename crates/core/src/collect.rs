@@ -69,16 +69,6 @@ use std::sync::Arc;
 use taskshell::Vfs;
 use telemetry::{EventSink, EventTap, Trace, TraceEvent, TraceSummary, Value, COORDINATOR_SHARD};
 
-/// How the scenario list is split into independently-runnable shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// One shard per VM type (the paper's one-pool-per-SKU structure).
-    #[default]
-    PerSku,
-    /// Everything in one shard (serial semantics regardless of workers).
-    SingleShard,
-}
-
 /// A declarative description of one collection run.
 ///
 /// Built fluently and handed to [`Session::collect_with`] or
@@ -90,7 +80,6 @@ pub enum ShardPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct CollectPlan {
     workers: usize,
-    shard_policy: ShardPolicy,
     chunk_size: Option<usize>,
     rerun_failed: Option<bool>,
     experiment_seed: Option<u64>,
@@ -114,12 +103,6 @@ impl CollectPlan {
     /// the shard count are not spawned.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
-        self
-    }
-
-    /// Sets the shard policy.
-    pub fn shard_policy(mut self, policy: ShardPolicy) -> Self {
-        self.shard_policy = policy;
         self
     }
 
@@ -489,31 +472,6 @@ fn shard_sink(shard: i64, on: bool, tap: &Option<Arc<dyn EventTap>>) -> EventSin
     }
 }
 
-/// Splits ordered scenarios into shards under `policy`. Per-SKU sharding
-/// groups all scenarios of a VM type into one shard, in first-appearance
-/// order of the SKU.
-fn split_shards(ordered: Vec<Scenario>, policy: ShardPolicy) -> Vec<Vec<Scenario>> {
-    match policy {
-        ShardPolicy::SingleShard => {
-            if ordered.is_empty() {
-                Vec::new()
-            } else {
-                vec![ordered]
-            }
-        }
-        ShardPolicy::PerSku => {
-            let mut shards: Vec<Vec<Scenario>> = Vec::new();
-            for scenario in ordered {
-                match shards.iter_mut().find(|sh| sh[0].sku == scenario.sku) {
-                    Some(shard) => shard.push(scenario),
-                    None => shards.push(vec![scenario]),
-                }
-            }
-            shards
-        }
-    }
-}
-
 /// Default scenarios per work-stealing chunk. Small enough that a hot SKU's
 /// group splits across workers, large enough that pool setup amortizes; on
 /// the bundled example grids (≤ a dozen scenarios per SKU) every group fits
@@ -528,13 +486,22 @@ struct Chunk {
     group: usize,
 }
 
-/// Splits ordered scenarios into SKU groups under `policy`, then each group
-/// into consecutive chunks of at most `chunk_size` scenarios. Boundaries
-/// depend only on the inputs — never on the worker count.
-fn split_chunks(ordered: Vec<Scenario>, policy: ShardPolicy, chunk_size: usize) -> Vec<Chunk> {
+/// Splits ordered scenarios into one group per VM type (the paper's
+/// one-pool-per-SKU structure, groups in first-appearance order of the
+/// SKU), then each group into consecutive chunks of at most `chunk_size`
+/// scenarios. Boundaries depend only on the inputs — never on the worker
+/// count.
+fn split_chunks(ordered: Vec<Scenario>, chunk_size: usize) -> Vec<Chunk> {
+    let mut groups: Vec<Vec<Scenario>> = Vec::new();
+    for scenario in ordered {
+        match groups.iter_mut().find(|g| g[0].sku == scenario.sku) {
+            Some(group) => group.push(scenario),
+            None => groups.push(vec![scenario]),
+        }
+    }
     let chunk_size = chunk_size.max(1);
     let mut chunks = Vec::new();
-    for (group, scenarios) in split_shards(ordered, policy).into_iter().enumerate() {
+    for (group, scenarios) in groups.into_iter().enumerate() {
         let mut rest = scenarios;
         while rest.len() > chunk_size {
             let tail = rest.split_off(chunk_size);
@@ -785,7 +752,7 @@ impl Collector {
             fingerprints: Arc::new(jconsult.fingerprints.clone()),
         });
         let chunk_size = plan.chunk_size.unwrap_or(DEFAULT_CHUNK_SIZE);
-        let chunks = split_chunks(consult.misses, plan.shard_policy, chunk_size);
+        let chunks = split_chunks(consult.misses, chunk_size);
         let workers = plan.workers.max(1).min(chunks.len().max(1));
 
         // Coordinator trace framing: run_start, then the decisions made
@@ -1183,9 +1150,11 @@ mod tests {
     #[test]
     fn per_sku_sharding_groups_scenarios() {
         let mut s = Session::create(UserConfig::example_openfoam(), 42).unwrap();
-        let shards = split_shards(s.scenarios().to_vec(), ShardPolicy::PerSku);
-        assert_eq!(shards.len(), 3, "one shard per SKU");
-        for shard in &shards {
+        let chunks = split_chunks(s.scenarios().to_vec(), usize::MAX);
+        assert_eq!(chunks.len(), 3, "one shard per SKU");
+        for (group, chunk) in chunks.iter().enumerate() {
+            assert_eq!(chunk.group, group);
+            let shard = &chunk.scenarios;
             assert!(shard.windows(2).all(|w| w[0].sku == w[1].sku));
             assert!(shard.windows(2).all(|w| w[0].id < w[1].id), "order kept");
         }

@@ -1,29 +1,30 @@
-//! Crash-safe run journal: append-only JSONL of per-scenario outcomes.
+//! Crash-safe run journal: an append-only log of per-scenario outcomes.
 //!
 //! A multi-hour sweep interrupted at scenario 30 of 36 should not re-spend
 //! cloud time on the first 30. The journal records each scenario's outcome
-//! *as it finishes* — one compact JSON object per line, appended and
-//! flushed — so a killed run leaves a readable prefix. `collect --resume`
-//! replays the journal and collects only the remainder; the resumed
-//! dataset is byte-identical to an uninterrupted run because entries carry
-//! the full [`DataPoint`] and are keyed by the same content fingerprint the
-//! PR 2 cache uses.
+//! *as it finishes* — one compact JSON object per record of a
+//! [`RecordLog`], appended before the append returns — so a killed run
+//! leaves a readable prefix. `collect --resume` replays the journal and
+//! collects only the remainder; the resumed dataset is byte-identical to an
+//! uninterrupted run because entries carry the full [`DataPoint`] and are
+//! keyed by the same content fingerprint the cache uses.
 //!
-//! Corruption tolerance mirrors the cache: a damaged header discards the
-//! whole file (cold start, `recovered` flag set), a torn tail line — the
-//! normal shape of a crash mid-append — drops only that line.
+//! Corruption tolerance is the record log's: a torn tail — the normal shape
+//! of a crash mid-append — drops only that record, and an unrecognizable
+//! file starts cold with the `recovered` flag set. Journals written before
+//! the framed format (a `{"version": 1}` header, then one JSON line per
+//! entry) still replay and are rewritten framed on the first append.
 
 use crate::cache::Fingerprint;
 use crate::dataset::{point_to_value, value_to_point, DataPoint};
+use crate::record_log::{open_journal, RecordLog};
 use crate::scenario::ScenarioStatus;
 use hpcadvisor_formats::{json, OrderedMap, Value};
 use std::collections::HashMap;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Version of the journal line format. A header with a different version
-/// discards the file wholesale.
-const JOURNAL_VERSION: i64 = 1;
+/// Magic that opens a framed run journal.
+const MAGIC: [u8; 8] = *b"HPCAJRN1";
 
 /// One journaled scenario outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,14 +87,17 @@ fn line_to_entry(line: &str) -> Option<JournalEntry> {
 /// The append-only run journal.
 #[derive(Debug, Default)]
 pub struct RunJournal {
-    path: Option<PathBuf>,
+    /// Backing log; `None` for an in-memory journal.
+    log: Option<RecordLog>,
     /// Insertion-ordered entries as read/written; later entries for the
     /// same fingerprint win in [`RunJournal::lookup`].
     entries: Vec<JournalEntry>,
     by_fp: HashMap<Fingerprint, usize>,
     recovered: bool,
-    /// True once the backing file is known to start with a valid header.
-    initialized: bool,
+    /// The file holds something other than exactly `entries` in the framed
+    /// format (legacy JSONL, a damaged header, an undecodable record): the
+    /// next append rewrites it from `entries` instead of appending.
+    rotate: bool,
 }
 
 impl RunJournal {
@@ -103,42 +107,21 @@ impl RunJournal {
     }
 
     /// Opens a file-backed journal, replaying whatever prefix survives.
-    /// A missing file starts empty; a damaged header starts empty with
-    /// `recovered` set (the file is rewritten on the first append); a torn
-    /// tail line is dropped alone.
+    /// A missing file starts empty; an unrecognizable file starts empty
+    /// with `recovered` set (it is rewritten on the first append); a torn
+    /// tail is dropped alone and truncated away by the next append. A
+    /// legacy JSONL journal replays as-is and is rewritten framed on the
+    /// first append.
     pub fn open(path: impl AsRef<Path>) -> Self {
-        let path = path.as_ref().to_path_buf();
+        let (log, replay) = open_journal(path, MAGIC, line_to_entry);
         let mut journal = RunJournal {
-            path: Some(path.clone()),
+            log: Some(log),
+            recovered: replay.recovered,
+            rotate: replay.rotate,
             ..RunJournal::default()
         };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => return journal,
-        };
-        let mut lines = text.lines();
-        let header_ok = lines.next().is_some_and(|h| {
-            json::parse(h).ok().and_then(|v| v.get("version")?.as_int()) == Some(JOURNAL_VERSION)
-        });
-        if !header_ok {
-            journal.recovered = true;
-            return journal;
-        }
-        journal.initialized = true;
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match line_to_entry(line) {
-                Some(entry) => journal.push(entry),
-                // A torn or garbled line: the tail of a crashed append.
-                None => journal.recovered = true,
-            }
-        }
-        if journal.recovered {
-            // The file may end in a partial line with no newline; force the
-            // next append to rewrite it from the surviving entries.
-            journal.initialized = false;
+        for entry in replay.records {
+            journal.push(entry);
         }
         journal
     }
@@ -146,8 +129,10 @@ impl RunJournal {
     /// Opens a file-backed journal after deleting any existing file — the
     /// non-resume collect path, which must not replay a previous run.
     pub fn open_fresh(path: impl AsRef<Path>) -> Self {
-        let _ = std::fs::remove_file(path.as_ref());
-        RunJournal::open(path)
+        RunJournal {
+            log: Some(RecordLog::fresh(path, MAGIC)),
+            ..RunJournal::default()
+        }
     }
 
     fn push(&mut self, entry: JournalEntry) {
@@ -155,36 +140,19 @@ impl RunJournal {
         self.entries.push(entry);
     }
 
-    /// Appends one outcome, flushing the line to disk before returning.
+    /// Appends one outcome; the record reaches the OS before this returns.
     /// IO errors are swallowed: journalling is best-effort and must never
     /// fail the collection it protects.
     pub fn append(&mut self, entry: JournalEntry) {
-        if let Some(path) = &self.path {
-            let line = entry_to_line(&entry);
-            let write = || -> std::io::Result<()> {
-                if let Some(dir) = path.parent() {
-                    std::fs::create_dir_all(dir)?;
-                }
-                let mut file = if self.initialized {
-                    std::fs::OpenOptions::new().append(true).open(path)?
-                } else {
-                    // First append (re)creates the file with its header and
-                    // the surviving entries, compacting away any damage.
-                    let mut f = std::fs::File::create(path)?;
-                    writeln!(f, "{{\"version\": {JOURNAL_VERSION}}}")?;
-                    for e in &self.entries {
-                        writeln!(f, "{}", entry_to_line(e))?;
-                    }
-                    f
-                };
-                writeln!(file, "{line}")?;
-                file.flush()
-            };
-            if write().is_ok() {
-                self.initialized = true;
+        let line = entry_to_line(&entry);
+        self.push(entry);
+        if let Some(log) = &mut self.log {
+            if self.rotate {
+                self.rotate = log.rotate(self.entries.iter().map(entry_to_line)).is_err();
+            } else {
+                let _ = log.append(line.as_bytes());
             }
         }
-        self.push(entry);
     }
 
     /// Latest entry for a fingerprint, if any.
@@ -214,7 +182,7 @@ impl RunJournal {
 
     /// The backing file, if any.
     pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
+        self.log.as_ref().map(RecordLog::path)
     }
 }
 
@@ -222,6 +190,7 @@ impl RunJournal {
 mod tests {
     use super::*;
     use crate::dataset::point;
+    use std::path::PathBuf;
 
     fn fp(n: u128) -> Fingerprint {
         Fingerprint::from_hex(&format!("{n:032x}")).unwrap()
@@ -283,30 +252,32 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_line_drops_alone() {
-        let path = tempfile("torn");
+    fn legacy_jsonl_replays_and_rotates_on_first_append() {
+        let path = tempfile("legacy");
         let _ = std::fs::remove_file(&path);
+        let legacy = format!(
+            "{{\"version\": 1}}\n{}\n{}\n",
+            entry_to_line(&completed(1, 1)),
+            entry_to_line(&completed(2, 2))
+        );
+        std::fs::write(&path, legacy).unwrap();
         let mut journal = RunJournal::open(&path);
-        journal.append(completed(1, 1));
-        journal.append(completed(2, 2));
-        // Simulate a crash mid-append: truncate the last line.
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() - 20]).unwrap();
-
+        assert!(!journal.recovered());
+        assert_eq!(journal.entries(), &[completed(1, 1), completed(2, 2)]);
+        journal.append(completed(3, 3));
+        assert!(std::fs::read(&path).unwrap().starts_with(&MAGIC));
+        assert!(!crate::record_log::temp_path(&path).exists());
         let back = RunJournal::open(&path);
-        assert_eq!(back.len(), 1, "only the torn line is lost");
-        assert!(back.recovered());
-        assert!(back.lookup(fp(1)).is_some());
-        // Appending after recovery keeps the surviving prefix.
-        let mut back = back;
-        back.append(completed(3, 3));
-        let again = RunJournal::open(&path);
-        assert_eq!(again.len(), 2);
+        assert!(!back.recovered());
+        assert_eq!(
+            back.entries(),
+            &[completed(1, 1), completed(2, 2), completed(3, 3)]
+        );
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn damaged_header_starts_cold_and_heals_on_append() {
+    fn unrecognizable_file_starts_cold_and_heals_on_append() {
         let path = tempfile("header");
         std::fs::write(&path, "garbage header\nmore garbage\n").unwrap();
         let mut journal = RunJournal::open(&path);
@@ -317,6 +288,26 @@ mod tests {
         assert!(!back.recovered(), "first append rewrote the file");
         assert_eq!(back.len(), 1);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn interrupted_rotation_keeps_the_journal_intact() {
+        let path = tempfile("rotation");
+        let _ = std::fs::remove_file(&path);
+        let mut journal = RunJournal::open(&path);
+        journal.append(completed(1, 1));
+        journal.append(completed(2, 2));
+        let before = journal.entries().to_vec();
+        // A rotation killed before it moved its temp file into place.
+        let bytes = std::fs::read(&path).unwrap();
+        let tmp = crate::record_log::temp_path(&path);
+        std::fs::write(&tmp, &bytes[..bytes.len() / 2]).unwrap();
+
+        let back = RunJournal::open(&path);
+        assert!(!back.recovered());
+        assert_eq!(back.entries(), &before[..]);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&tmp);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! ## Quick start
 //!
 //! Collection is described by a [`collect::CollectPlan`] (worker count,
-//! shard policy, seed/rerun overrides) and returns a
+//! chunk size, seed/rerun overrides) and returns a
 //! [`collect::CollectReport`] with the dataset, per-scenario outcomes,
 //! per-pool billing and executor stats:
 //!
@@ -67,6 +67,7 @@ pub mod pareto;
 pub mod placement;
 pub mod plot;
 pub mod predictor;
+pub mod record_log;
 pub mod regress;
 pub mod replicate;
 pub mod retry;
@@ -79,7 +80,7 @@ pub mod session;
 pub use advice::{Advice, CapacityComparison};
 pub use cache::{CachePolicy, Fingerprint, Fingerprinter, ScenarioCache, SharedScenarioCache};
 pub use cloudsim::Capacity;
-pub use collect::{CollectPlan, CollectReport, CollectStats, ScenarioOutcome, ShardPolicy};
+pub use collect::{CollectPlan, CollectReport, CollectStats, ScenarioOutcome};
 pub use collector::{Collector, CollectorOptions, CollectorOptionsBuilder};
 pub use config::UserConfig;
 pub use dataset::{DataFilter, DataPoint, Dataset};
@@ -101,7 +102,7 @@ pub use telemetry::{Trace, TraceEvent, TraceSummary};
 pub mod prelude {
     pub use crate::advice::Advice;
     pub use crate::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
-    pub use crate::collect::{CollectPlan, CollectReport, ShardPolicy};
+    pub use crate::collect::{CollectPlan, CollectReport};
     pub use crate::collector::{Collector, CollectorOptions};
     pub use crate::config::UserConfig;
     pub use crate::dataset::{DataFilter, DataPoint, Dataset};

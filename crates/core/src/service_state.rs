@@ -1,12 +1,12 @@
-//! Durable daemon state: an append-only JSONL service journal.
+//! Durable daemon state: an append-only service journal.
 //!
 //! The PR 6 daemon kept tenant spend and the in-flight job manifest only
 //! in memory, so a crash forgot who had spent what and silently dropped
 //! every admitted job. This module gives [`crate::service::AdvisorService`]
 //! the same crash-safety discipline the collection layer already has in
-//! [`crate::journal`]: one compact JSON record per line, appended and
-//! flushed as state changes, with torn-tail salvage on reopen — a killed
-//! daemon leaves a readable prefix, and the next start replays it.
+//! [`crate::journal`]: one compact JSON payload per record, appended as
+//! state changes, with torn-tail salvage on reopen — a killed daemon
+//! leaves a readable prefix, and the next start replays it.
 //!
 //! Three record kinds cover the whole admission lifecycle:
 //!
@@ -20,22 +20,22 @@
 //!   deliberately abandoned). An `admitted` with no matching `done` is an
 //!   interrupted job the restarted daemon must re-serve.
 //!
-//! Compaction mirrors [`crate::journal::RunJournal`]: the first append
-//! after detecting damage — or after the done/spend history has grown well
-//! past the live state — rewrites the file from the replayed state (one
-//! cumulative `spend` per tenant plus the still-pending `admitted`
-//! records), so the journal stays bounded by live state, not daemon
-//! uptime.
+//! Records live in a [`RecordLog`] (one compact JSON payload per record).
+//! Once the done/spend history has grown well past the live state, an
+//! append instead rotates the log to the replayed state (one cumulative
+//! `spend` per tenant plus the still-pending `admitted` records), so the
+//! journal stays bounded by live state, not daemon uptime. Rotation writes
+//! a temp file and moves it into place: a daemon killed mid-rotation
+//! keeps the previous journal, never a truncated one.
 
 use crate::cache::CachePolicy;
+use crate::record_log::{open_journal, RecordLog};
 use hpcadvisor_formats::{json, OrderedMap, Value};
 use std::collections::HashMap;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Version of the service-journal line format. A header with a different
-/// version discards the file wholesale (cold start, `recovered` set).
-const SERVICE_JOURNAL_VERSION: i64 = 1;
+/// Magic that opens a framed service journal.
+const MAGIC: [u8; 8] = *b"HPCASVC1";
 
 /// An admitted-but-unfinished request, exactly as needed to re-admit it.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,13 +166,16 @@ pub struct ServiceState {
 /// The append-only service journal (see the module docs).
 #[derive(Debug, Default)]
 pub struct ServiceJournal {
-    path: Option<PathBuf>,
+    /// Backing log; `None` for an in-memory journal.
+    log: Option<RecordLog>,
     state: ServiceState,
     /// Raw record count since the last rewrite — the compaction trigger.
     raw_records: usize,
     recovered: bool,
-    /// True once the backing file is known to start with a valid header.
-    initialized: bool,
+    /// The file holds something other than the framed records replayed
+    /// (legacy JSONL, an unrecognizable file, an undecodable record): the
+    /// next append rotates instead of appending.
+    rotate: bool,
 }
 
 impl ServiceJournal {
@@ -182,45 +185,21 @@ impl ServiceJournal {
     }
 
     /// Opens a file-backed journal, replaying whatever prefix survives. A
-    /// missing file starts empty; a damaged header starts empty with
-    /// `recovered` set; a torn tail line — the normal shape of a crash
-    /// mid-append — is dropped alone and the next append compacts.
+    /// missing file starts empty; an unrecognizable file starts empty with
+    /// `recovered` set; a torn tail — the normal shape of a crash
+    /// mid-append — is dropped alone and truncated by the next append. A
+    /// legacy JSONL journal replays and is rotated on the first append.
     pub fn open(path: impl AsRef<Path>) -> Self {
-        let path = path.as_ref().to_path_buf();
+        let (log, replay) = open_journal(path, MAGIC, line_to_record);
         let mut journal = ServiceJournal {
-            path: Some(path.clone()),
+            log: Some(log),
+            raw_records: replay.records.len(),
+            recovered: replay.recovered,
+            rotate: replay.rotate,
             ..ServiceJournal::default()
         };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => return journal,
-        };
-        let mut lines = text.lines();
-        let header_ok = lines.next().is_some_and(|h| {
-            json::parse(h).ok().and_then(|v| v.get("version")?.as_int())
-                == Some(SERVICE_JOURNAL_VERSION)
-        });
-        if !header_ok {
-            journal.recovered = true;
-            return journal;
-        }
-        journal.initialized = true;
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match line_to_record(line) {
-                Some(record) => {
-                    journal.raw_records += 1;
-                    journal.apply(record);
-                }
-                None => journal.recovered = true,
-            }
-        }
-        if journal.recovered {
-            // The file may end mid-line; force the next append to rewrite
-            // it from the replayed state.
-            journal.initialized = false;
+        for record in replay.records {
+            journal.apply(record);
         }
         journal
     }
@@ -269,39 +248,29 @@ impl ServiceJournal {
         self.raw_records > 2 * live + 16
     }
 
-    /// Appends one record, flushing the line to disk before returning.
-    /// IO errors are swallowed: journalling is best-effort and must never
+    /// Appends one record; it reaches the OS before this returns. IO
+    /// errors are swallowed: journalling is best-effort and must never
     /// fail the service it protects.
     pub fn append(&mut self, record: ServiceRecord) {
         self.apply(record.clone());
         self.raw_records += 1;
-        if let Some(path) = &self.path {
-            let rewrite = !self.initialized || self.wants_compaction();
-            let write = || -> std::io::Result<()> {
-                if let Some(dir) = path.parent() {
-                    std::fs::create_dir_all(dir)?;
-                }
-                if rewrite {
-                    // (Re)create with header + the compacted live state
-                    // (which already includes `record`).
-                    let mut f = std::fs::File::create(path)?;
-                    writeln!(f, "{{\"version\": {SERVICE_JOURNAL_VERSION}}}")?;
-                    for r in self.live_records() {
-                        writeln!(f, "{}", record_to_line(&r))?;
-                    }
-                    f.flush()
-                } else {
-                    let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
-                    writeln!(f, "{}", record_to_line(&record))?;
-                    f.flush()
-                }
-            };
-            if write().is_ok() {
-                self.initialized = true;
-                if rewrite {
-                    self.raw_records = self.live_records().len();
-                }
-            }
+        if self.log.is_none() {
+            return;
+        }
+        // A rotation rewrites the compacted live state, which already
+        // includes `record`.
+        let rotate = self.rotate || self.wants_compaction();
+        let lines: Vec<String> = if rotate {
+            self.live_records().iter().map(record_to_line).collect()
+        } else {
+            vec![record_to_line(&record)]
+        };
+        let log = self.log.as_mut().expect("file-backed journal");
+        if !rotate {
+            let _ = log.append_all(&lines);
+        } else if log.rotate(&lines).is_ok() {
+            self.rotate = false;
+            self.raw_records = lines.len();
         }
     }
 
@@ -317,7 +286,7 @@ impl ServiceJournal {
 
     /// The backing file, if any.
     pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
+        self.log.as_ref().map(RecordLog::path)
     }
 }
 
@@ -325,6 +294,8 @@ impl ServiceJournal {
 mod tests {
     use super::*;
     use crate::config::UserConfig;
+    use crate::record_log::{temp_path, Contents};
+    use std::path::PathBuf;
 
     fn tempfile(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -408,28 +379,46 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn torn_tail_line_drops_alone_and_heals() {
-        let path = tempfile("torn");
-        let _ = std::fs::remove_file(&path);
-        let mut journal = ServiceJournal::open(&path);
-        journal.append(admitted("k1", "acme"));
-        journal.append(admitted("k2", "bob"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() - 15]).unwrap();
+    fn spend(tenant: &str, dollars: f64) -> ServiceRecord {
+        ServiceRecord::Spend {
+            tenant: tenant.into(),
+            dollars,
+        }
+    }
 
-        let mut back = ServiceJournal::open(&path);
-        assert!(back.recovered(), "damage detected");
-        assert_eq!(back.state().pending.len(), 1, "only the torn line lost");
-        back.append(ServiceRecord::Done { key: "k1".into() });
-        let healed = ServiceJournal::open(&path);
-        assert!(!healed.recovered(), "append rewrote a clean file");
-        assert!(healed.state().pending.is_empty());
+    /// Framed records currently on disk.
+    fn records_on_disk(path: &Path) -> usize {
+        match RecordLog::open(path, MAGIC).1 {
+            Contents::Framed { records, .. } => records.len(),
+            other => panic!("expected a framed journal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn legacy_jsonl_replays_and_rotates_on_first_append() {
+        let path = tempfile("legacy");
+        let legacy = format!(
+            "{{\"version\": 1}}\n{}\n{}\n{}\n",
+            record_to_line(&spend("acme", 2.5)),
+            record_to_line(&admitted("k1", "acme")),
+            record_to_line(&admitted("k2", "bob")),
+        );
+        std::fs::write(&path, legacy).unwrap();
+        let mut journal = ServiceJournal::open(&path);
+        assert!(!journal.recovered());
+        assert_eq!(journal.state().spent.get("acme"), Some(&2.5));
+        assert_eq!(journal.state().pending.len(), 2);
+        journal.append(ServiceRecord::Done { key: "k1".into() });
+        assert!(std::fs::read(&path).unwrap().starts_with(&MAGIC));
+        let back = ServiceJournal::open(&path);
+        assert!(!back.recovered());
+        assert_eq!(back.state(), journal.state());
+        assert_eq!(back.state().pending[0].key, "k2");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn damaged_header_starts_cold() {
+    fn unrecognizable_file_starts_cold() {
         let path = tempfile("header");
         std::fs::write(&path, "garbage\n").unwrap();
         let journal = ServiceJournal::open(&path);
@@ -446,19 +435,55 @@ mod tests {
         // Churn many short-lived jobs for one tenant.
         for i in 0..60 {
             journal.append(admitted(&format!("k{i}"), "acme"));
-            journal.append(ServiceRecord::Spend {
-                tenant: "acme".into(),
-                dollars: 1.0,
-            });
+            journal.append(spend("acme", 1.0));
             journal.append(ServiceRecord::Done {
                 key: format!("k{i}"),
             });
         }
-        let lines = std::fs::read_to_string(&path).unwrap().lines().count();
-        assert!(lines < 40, "history compacted away, got {lines} lines");
+        let records = records_on_disk(&path);
+        assert!(
+            records < 40,
+            "history compacted away, got {records} records"
+        );
         let back = ServiceJournal::open(&path);
         assert_eq!(back.state().spent.get("acme"), Some(&60.0));
         assert!(back.state().pending.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn interrupted_rotation_keeps_the_replayed_state() {
+        let path = tempfile("rotation");
+        let _ = std::fs::remove_file(&path);
+        let mut journal = ServiceJournal::open(&path);
+        journal.append(admitted("pending", "bob"));
+        journal.append(spend("acme", 0.5));
+        // Churn spend until the next append rotates.
+        let bound = 2 * (journal.state().spent.len() + journal.state().pending.len()) + 16;
+        while journal.raw_records < bound {
+            journal.append(spend("acme", 0.5));
+        }
+        assert_eq!(records_on_disk(&path), bound, "no rotation yet");
+        let before = journal.state().clone();
+        // The daemon dies mid-rotation: the temp file holds half of the
+        // compacted log and was never moved over the journal.
+        let lines: Vec<String> = journal.live_records().iter().map(record_to_line).collect();
+        let mut tmp = RecordLog::fresh(temp_path(&path), MAGIC);
+        tmp.append_all(&lines).unwrap();
+        let bytes = std::fs::read(temp_path(&path)).unwrap();
+        std::fs::write(temp_path(&path), &bytes[..bytes.len() / 2]).unwrap();
+
+        let mut back = ServiceJournal::open(&path);
+        assert!(!back.recovered());
+        assert_eq!(back.state(), &before, "no spend or admission was lost");
+        // The restarted daemon's next append completes a rotation cleanly.
+        back.append(spend("acme", 0.5));
+        assert!(!temp_path(&path).exists());
+        assert_eq!(
+            records_on_disk(&path),
+            2,
+            "acme's spend plus the pending admission"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -21,10 +21,6 @@
 //! let report = session.collect_with(&CollectPlan::new().workers(4)).unwrap();
 //! # let _ = report;
 //! ```
-//!
-//! The pre-builder mutators (`set_cache`, `set_cache_policy`,
-//! `set_journal`, `collector_mut`) remain as deprecated thin wrappers for
-//! one release; see DESIGN.md for the deprecation window.
 
 use crate::cache::{CachePolicy, ScenarioCache, SharedScenarioCache};
 use crate::collect::{CollectPlan, CollectReport};
@@ -187,15 +183,6 @@ impl Session {
         Session::builder(config).seed(seed).journal(journal).build()
     }
 
-    /// Attaches a crash-safe run journal.
-    #[deprecated(
-        since = "0.2.0",
-        note = "declare the journal at build time: Session::builder(..).journal(..)"
-    )]
-    pub fn set_journal(&mut self, journal: RunJournal) {
-        self.collector.set_journal(journal);
-    }
-
     /// The deployment (resource-group) name.
     pub fn deployment(&self) -> &str {
         &self.deployment
@@ -214,34 +201,6 @@ impl Session {
     /// The shared cloud provider (billing, clock, quotas).
     pub fn provider(&self) -> SharedProvider {
         self.manager.provider()
-    }
-
-    /// Mutable access to the collector.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Session::register_script / Session::shared_vfs, or declare \
-                collector state on Session::builder"
-    )]
-    pub fn collector_mut(&mut self) -> &mut Collector {
-        &mut self.collector
-    }
-
-    /// Attaches a scenario-result cache.
-    #[deprecated(
-        since = "0.2.0",
-        note = "declare the cache at build time: Session::builder(..).cache(..)"
-    )]
-    pub fn set_cache(&mut self, cache: ScenarioCache) {
-        self.collector.set_cache(cache);
-    }
-
-    /// Sets the default cache policy for runs without a plan override.
-    #[deprecated(
-        since = "0.2.0",
-        note = "declare the policy at build time: Session::builder(..).cache_policy(..)"
-    )]
-    pub fn set_cache_policy(&mut self, policy: CachePolicy) {
-        self.collector.set_cache_policy(policy);
     }
 
     /// A handle to the collector's scenario-result cache (clones share
@@ -272,7 +231,7 @@ impl Session {
         self.collector.collect(&mut self.scenarios)
     }
 
-    /// Runs a collection under `plan` (worker count, shard policy, seed and
+    /// Runs a collection under `plan` (worker count, chunk size, seed and
     /// rerun overrides, optional subset) and returns a [`CollectReport`]
     /// with the dataset, per-scenario outcomes, billing and stats.
     pub fn collect_with(&mut self, plan: &CollectPlan) -> Result<CollectReport, ToolError> {

@@ -505,8 +505,8 @@ fn fabricated_crash_state_recovers_without_double_billing() {
 
     // --- Fabricate the post-crash disk state. ---
     // 1. The interrupted job's run journal: run the full grid journaled,
-    //    then truncate the file to its header plus the first 4 scenario
-    //    records — the exact bytes a SIGKILL mid-grid leaves behind.
+    //    then rewrite the file with only its first 4 scenario records —
+    //    the exact records a SIGKILL mid-grid leaves behind.
     let job_journal = state_dir
         .join("jobs")
         .join(format!("job-{:016x}.jsonl", fnv64("drill")));
@@ -518,9 +518,13 @@ fn fabricated_crash_state_recovers_without_double_billing() {
             .build()
             .unwrap();
         session.collect_with(&CollectPlan::new()).unwrap();
-        let full = std::fs::read_to_string(&job_journal).unwrap();
-        let prefix: Vec<&str> = full.lines().take(5).collect();
-        std::fs::write(&job_journal, format!("{}\n", prefix.join("\n"))).unwrap();
+    }
+    {
+        let full = RunJournal::open(&job_journal);
+        let mut prefix = RunJournal::open_fresh(&job_journal);
+        for entry in &full.entries()[..4] {
+            prefix.append(entry.clone());
+        }
     }
     assert!(job_journal.exists(), "partial run journal fabricated");
 

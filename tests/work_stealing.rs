@@ -100,10 +100,10 @@ fn hot_sku_skew_is_byte_identical_across_worker_counts() {
         let trace = report.trace.as_ref().unwrap().to_jsonl();
         // The journal appends in completion order, which legitimately
         // varies with scheduling; its *contents* must not.
-        let mut journal: Vec<String> = std::fs::read_to_string(&journal_path)
-            .unwrap()
-            .lines()
-            .map(str::to_string)
+        let mut journal: Vec<String> = RunJournal::open(&journal_path)
+            .entries()
+            .iter()
+            .map(|entry| format!("{entry:?}"))
             .collect();
         journal.sort();
         let outcomes: Vec<(u32, u32, u32)> = report
