@@ -10,7 +10,13 @@
 //! * `hot_skew_per_sku` / `hot_skew_stealing` — a hot-SKU-skew subset
 //!   (one SKU carries ~91% of the work) under the legacy per-SKU shard
 //!   emulation (`chunk_size(usize::MAX)`) vs the default chunked
-//!   scheduler, with a built-in `>= 2x` speedup gate;
+//!   scheduler, with a built-in balance gate: under work stealing the
+//!   busiest worker's busy time is at most 1.25x the mean;
+//! * `single_service_unchunked` / `single_service_chunk32` — 2,048
+//!   hot-SKU scenarios on one worker, as one chunk (one batch service runs
+//!   them all) vs chunks of 32, with a built-in gate that the unchunked
+//!   cost per scenario stays within 1.5x of the chunked one (a cost that
+//!   grows with the scenarios one service has run fails it);
 //! * `cache_save_binary_10k` — appending 1,000 entries to a 10k-entry
 //!   record-log store and saving (checked against the baseline only).
 //!
@@ -22,6 +28,7 @@
 use hpcadvisor_core::cache::{Fingerprint, ScenarioCache};
 use hpcadvisor_core::dataset::point;
 use hpcadvisor_core::prelude::*;
+use hpcadvisor_core::CollectStats;
 use hpcadvisor_formats::{json, OrderedMap, Value};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -38,8 +45,21 @@ const STORE_ENTRIES: usize = 10_080;
 /// (~10ms).
 const STORE_APPENDS: usize = 1000;
 
-/// Minimum hot-SKU-skew speedup of work stealing over per-SKU shards.
-const MIN_STEAL_SPEEDUP: f64 = 2.0;
+/// Largest allowed max/mean worker busy time under work stealing on the
+/// hot-SKU-skew grid. Unlike a wall-clock speedup it does not depend on
+/// how many cores the host has.
+const MAX_STEAL_BALANCE: f64 = 1.25;
+
+/// Samples per bench of a gated pair. Each single-service run lasts
+/// ~0.15 s, so a few extra cost little and steady the ratio's median.
+const PAIR_SAMPLES: usize = 5;
+
+/// Scenarios in the single-service scaling case.
+const SINGLE_SERVICE_SCENARIOS: usize = 2048;
+
+/// Largest allowed ratio of the unchunked to the chunk-32 cost per
+/// scenario in the single-service scaling case.
+const MAX_SINGLE_SERVICE_RATIO: f64 = 1.5;
 
 const USAGE: &str = "\
 bench_large — 10k-scenario timing tier for the CI bench-large job
@@ -61,7 +81,12 @@ OPTIONS:
     --tolerance <frac>   allowed fractional regression (default 0.5;
                          env HPCADVISOR_BENCH_TOLERANCE overrides)
 
-The hot-SKU-skew >= 2x speedup gate always runs, in both modes.
+Two gates always run, in both modes: on the hot-SKU-skew grid, work
+stealing keeps the busiest worker's busy time within 1.25x of the mean;
+and one worker running 2,048 scenarios as a single chunk costs at most
+1.5x per scenario what it costs in chunks of 32. The wall-clock
+speedup of work stealing is printed but not gated, since it depends on
+the host's core count.
 ";
 
 /// The 10k grid: 3 SKUs x 4 node counts x 840 mesh sizes = 10,080
@@ -79,6 +104,17 @@ fn grid_config() -> UserConfig {
     config
 }
 
+/// Every scenario of the grid's first ("hot") SKU: 3,360 of them.
+fn hot_sku_ids(session: &Session) -> Vec<u32> {
+    let scenarios = session.scenarios();
+    let hot = &scenarios[0].sku;
+    scenarios
+        .iter()
+        .filter(|s| &s.sku == hot)
+        .map(|s| s.id)
+        .collect()
+}
+
 /// Hot-SKU-skew subset: every scenario of the first SKU (3,360) plus a
 /// 160-scenario tail of each remaining SKU. Under per-SKU shards the hot
 /// SKU serializes on one worker; under work stealing its chunks spread
@@ -86,11 +122,7 @@ fn grid_config() -> UserConfig {
 fn hot_subset(session: &Session) -> Vec<u32> {
     let scenarios = session.scenarios();
     let hot = scenarios[0].sku.clone();
-    let mut ids: Vec<u32> = scenarios
-        .iter()
-        .filter(|s| s.sku == hot)
-        .map(|s| s.id)
-        .collect();
+    let mut ids = hot_sku_ids(session);
     let mut cold: Vec<String> = scenarios
         .iter()
         .filter(|s| s.sku != hot)
@@ -135,10 +167,30 @@ fn warm_10k(cache_path: &PathBuf) -> f64 {
     elapsed
 }
 
+/// How evenly one collect spread its work over the workers.
+struct Balance {
+    /// Max/mean of the workers' busy seconds (1.0 is a perfect spread).
+    ratio: f64,
+    /// Scenarios each worker executed.
+    scenarios: Vec<usize>,
+}
+
+impl Balance {
+    fn of(stats: &CollectStats) -> Balance {
+        let busy: Vec<f64> = stats.worker_loads.iter().map(|w| w.busy_secs).collect();
+        let mean = busy.iter().sum::<f64>() / busy.len() as f64;
+        let max = busy.iter().copied().fold(0.0, f64::max);
+        Balance {
+            ratio: if mean > 0.0 { max / mean } else { 1.0 },
+            scenarios: stats.worker_loads.iter().map(|w| w.scenarios).collect(),
+        }
+    }
+}
+
 /// Times one hot-SKU-skew collect on 8 workers. `Some(usize::MAX)`
 /// emulates the legacy one-shard-per-SKU scheduler; `None` uses the
 /// default chunked work stealing.
-fn hot_skew(chunk_size: Option<usize>) -> f64 {
+fn hot_skew(chunk_size: Option<usize>) -> (f64, Balance) {
     let mut session = Session::create(grid_config(), hpcadvisor_bench::SEED).expect("session");
     let ids = hot_subset(&session);
     let total = ids.len();
@@ -150,6 +202,24 @@ fn hot_skew(chunk_size: Option<usize>) -> f64 {
     let report = session.collect_with(&plan).expect("collect");
     let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(report.stats.executed, total);
+    assert_eq!(report.stats.failed, 0);
+    (elapsed, Balance::of(&report.stats))
+}
+
+/// Times one untraced collect of the first `SINGLE_SERVICE_SCENARIOS`
+/// hot-SKU scenarios on a single worker, in chunks of `chunk_size`.
+fn single_service(chunk_size: usize) -> f64 {
+    let mut session = Session::create(grid_config(), hpcadvisor_bench::SEED).expect("session");
+    let mut ids = hot_sku_ids(&session);
+    ids.truncate(SINGLE_SERVICE_SCENARIOS);
+    let plan = CollectPlan::new()
+        .workers(1)
+        .chunk_size(chunk_size)
+        .subset(ids);
+    let start = Instant::now();
+    let report = session.collect_with(&plan).expect("collect");
+    let elapsed = start.elapsed().as_secs_f64();
+    assert_eq!(report.stats.executed, SINGLE_SERVICE_SCENARIOS);
     assert_eq!(report.stats.failed, 0);
     elapsed
 }
@@ -207,7 +277,10 @@ struct BenchResult {
 }
 
 fn sample(name: &'static str, mut one: impl FnMut() -> f64) -> BenchResult {
-    let mut samples: Vec<f64> = (0..SAMPLES).map(|_| one()).collect();
+    result(name, (0..SAMPLES).map(|_| one()).collect())
+}
+
+fn result(name: &'static str, mut samples: Vec<f64>) -> BenchResult {
     BenchResult {
         name,
         median_secs: median(&mut samples),
@@ -215,7 +288,29 @@ fn sample(name: &'static str, mut one: impl FnMut() -> f64) -> BenchResult {
     }
 }
 
-fn run_benches() -> Vec<BenchResult> {
+/// Samples two benches that a gate compares in alternation, so a drift in
+/// machine speed lands on both alike.
+fn sample_pair(
+    (name_a, mut a): (&'static str, impl FnMut() -> f64),
+    (name_b, mut b): (&'static str, impl FnMut() -> f64),
+) -> [BenchResult; 2] {
+    let (samples_a, samples_b) = (0..PAIR_SAMPLES).map(|_| (a(), b())).unzip();
+    [result(name_a, samples_a), result(name_b, samples_b)]
+}
+
+/// The median sample's balance, by ratio.
+fn median_balance(mut balances: Vec<Balance>) -> Balance {
+    balances.sort_by(|a, b| a.ratio.partial_cmp(&b.ratio).unwrap());
+    balances.swap_remove(balances.len() / 2)
+}
+
+/// Worker balance of the two hot-SKU-skew schedulers.
+struct SkewBalance {
+    per_sku: Balance,
+    stealing: Balance,
+}
+
+fn run_benches() -> (Vec<BenchResult>, SkewBalance) {
     // Warm the scenario cache once, outside any timed region, and use the
     // same run to ramp the CPU before the first sample.
     let tmp = std::env::temp_dir();
@@ -233,12 +328,26 @@ fn run_benches() -> Vec<BenchResult> {
         assert_eq!(report.stats.failed, 0);
     }
 
+    let mut per_sku = Vec::new();
+    let mut stealing = Vec::new();
     let mut results = vec![
         sample("cold_10k_8w", cold_10k),
         sample("warm_10k", || warm_10k(&cache_path)),
-        sample("hot_skew_per_sku", || hot_skew(Some(usize::MAX))),
-        sample("hot_skew_stealing", || hot_skew(None)),
+        sample("hot_skew_per_sku", || {
+            let (secs, balance) = hot_skew(Some(usize::MAX));
+            per_sku.push(balance);
+            secs
+        }),
+        sample("hot_skew_stealing", || {
+            let (secs, balance) = hot_skew(None);
+            stealing.push(balance);
+            secs
+        }),
     ];
+    results.extend(sample_pair(
+        ("single_service_unchunked", || single_service(usize::MAX)),
+        ("single_service_chunk32", || single_service(32)),
+    ));
 
     let bin_store = tmp.join(format!(
         "hpcadvisor-bench-large-{}-store.bin",
@@ -252,12 +361,17 @@ fn run_benches() -> Vec<BenchResult> {
     for path in [&cache_path, &bin_store] {
         let _ = std::fs::remove_file(path);
     }
-    results
+    let balance = SkewBalance {
+        per_sku: median_balance(per_sku),
+        stealing: median_balance(stealing),
+    };
+    (results, balance)
 }
 
-/// The built-in speedup gate: the acceptance criterion the tier exists to
-/// prove, so it runs in both `--write` and `--check` mode.
-fn check_speedups(results: &[BenchResult]) -> bool {
+/// The built-in gates: the acceptance criteria the tier exists to prove,
+/// so they run in both `--write` and `--check` mode. Both are ratios of
+/// measurements on the same host, so neither depends on its core count.
+fn check_gates(results: &[BenchResult], balance: &SkewBalance) -> bool {
     let get = |name: &str| {
         results
             .iter()
@@ -265,17 +379,42 @@ fn check_speedups(results: &[BenchResult]) -> bool {
             .map(|r| r.median_secs)
             .expect("bench measured")
     };
-    let steal = get("hot_skew_per_sku") / get("hot_skew_stealing");
+    let mut ok = true;
+    let speedup = get("hot_skew_per_sku") / get("hot_skew_stealing");
+    println!("hot-SKU-skew wall-clock speedup: {speedup:.2}x (work stealing vs per-SKU shards, not gated)");
     println!(
-        "hot-SKU-skew speedup: {steal:.2}x (work stealing vs per-SKU shards, floor {MIN_STEAL_SPEEDUP:.1}x)"
+        "hot-SKU-skew balance, per-SKU shards: {:.2} max/mean busy, scenarios per worker {:?}",
+        balance.per_sku.ratio, balance.per_sku.scenarios
     );
-    if steal < MIN_STEAL_SPEEDUP {
+    println!(
+        "hot-SKU-skew balance, work stealing:  {:.2} max/mean busy, scenarios per worker {:?} (limit {MAX_STEAL_BALANCE:.2})",
+        balance.stealing.ratio, balance.stealing.scenarios
+    );
+    if balance.stealing.ratio > MAX_STEAL_BALANCE {
         eprintln!(
-            "FAIL: work stealing must be >= {MIN_STEAL_SPEEDUP:.1}x on the hot-SKU-skew grid"
+            "FAIL: work stealing must keep max/mean worker busy time <= {MAX_STEAL_BALANCE:.2} on the hot-SKU-skew grid"
         );
-        return false;
+        ok = false;
     }
-    true
+    let per_scenario_us = |name: &str| get(name) * 1e6 / SINGLE_SERVICE_SCENARIOS as f64;
+    let unchunked = per_scenario_us("single_service_unchunked");
+    let chunked = per_scenario_us("single_service_chunk32");
+    let ratio = unchunked / chunked;
+    println!(
+        "single-service scaling: {unchunked:.0} us/scenario unchunked vs {chunked:.0} us/scenario in chunks of 32 = {ratio:.2}x (limit {MAX_SINGLE_SERVICE_RATIO:.1}x)"
+    );
+    if ratio > MAX_SINGLE_SERVICE_RATIO {
+        eprintln!(
+            "FAIL: one batch service running {SINGLE_SERVICE_SCENARIOS} scenarios must cost <= {MAX_SINGLE_SERVICE_RATIO:.1}x per scenario of chunks of 32"
+        );
+        ok = false;
+    }
+    ok
+}
+
+/// Cores available to this process, recorded beside the timings.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn to_json(results: &[BenchResult]) -> String {
@@ -291,6 +430,7 @@ fn to_json(results: &[BenchResult]) -> String {
     }
     let mut doc = OrderedMap::new();
     doc.insert("version", Value::Int(1));
+    doc.insert("nproc", Value::Int(nproc() as i64));
     doc.insert("benches", Value::Map(benches));
     let mut text = json::to_string_pretty(&Value::Map(doc));
     text.push('\n');
@@ -324,8 +464,8 @@ fn main() {
     let mut out: Option<String> = None;
     // Wider default than bench_baseline's 25%: these are multi-second
     // grid-scale runs whose run-to-run medians swing ~30% on shared or
-    // single-core machines. The real acceptance gate is the relative
-    // speedup floor, which divides out machine speed entirely.
+    // single-core machines. The real acceptance gates are the balance and
+    // scaling ratios, which divide out machine speed entirely.
     let mut tolerance = std::env::var("HPCADVISOR_BENCH_TOLERANCE")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
@@ -378,7 +518,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let results = run_benches();
+    let (results, balance) = run_benches();
     for r in &results {
         println!(
             "{:<24} median {:.3}s over {} samples",
@@ -387,7 +527,7 @@ fn main() {
             r.samples.len()
         );
     }
-    let speedups_ok = check_speedups(&results);
+    let gates_ok = check_gates(&results, &balance);
 
     let out_path = out.unwrap_or_else(|| {
         if write {
@@ -400,7 +540,7 @@ fn main() {
     std::fs::write(&out_path, to_json(&results)).expect("write results");
     println!("wrote {out_path}");
 
-    let mut failed = !speedups_ok;
+    let mut failed = !gates_ok;
     if let Some(baseline_path) = check {
         let baseline = match load_baseline(&baseline_path) {
             Ok(b) => b,

@@ -45,7 +45,7 @@ use parking_lot::Mutex;
 use simtime::SimDuration;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use taskshell::{ExecutionEnv, Interpreter, UrlStore, Vfs};
+use taskshell::{ExecutionEnv, Interpreter, Program, ShellError, UrlStore, Vfs};
 use telemetry::Value;
 
 /// Options for a collection run.
@@ -195,6 +195,9 @@ pub(crate) struct ExecContext {
     pub(crate) provider: SharedProvider,
     pub(crate) config: UserConfig,
     pub(crate) script: String,
+    /// `script` parsed once for every task; a syntax error is kept and
+    /// fails each task that runs it.
+    pub(crate) program: Result<Program, ShellError>,
     pub(crate) urls: UrlStore,
     pub(crate) deployment: String,
     pub(crate) registry: Arc<AppRegistry>,
@@ -213,6 +216,11 @@ impl ExecContext {
             // Skipped scenarios never executed — always worth another try.
             ScenarioStatus::Skipped => true,
         }
+    }
+
+    fn set_script(&mut self, script: String) {
+        self.program = Program::parse(&script);
+        self.script = script;
     }
 
     fn app_dir(&self) -> String {
@@ -294,10 +302,10 @@ impl ExecContext {
         let shared_vfs = vfs.clone();
         let urls = self.urls.clone();
         let registry = self.registry.clone();
-        let script = self.script.clone();
+        let program = self.program.clone();
         let seed = self.options.experiment_seed;
         Box::new(move |ctx: &TaskContext| -> TaskResult {
-            run_script_task(ctx, &spec, shared_vfs, urls, registry, &script, seed)
+            run_script_task(ctx, &spec, shared_vfs, urls, registry, &program, seed)
         })
     }
 }
@@ -1463,6 +1471,7 @@ impl Collector {
             ctx: ExecContext {
                 provider,
                 config,
+                program: Program::parse(&script),
                 script,
                 urls,
                 deployment: deployment.to_string(),
@@ -1528,7 +1537,7 @@ impl Collector {
     pub fn register_script(&mut self, url: &str, content: &str) -> Result<(), ToolError> {
         self.ctx.urls.put(url, content);
         if url == self.ctx.config.appsetupurl {
-            self.ctx.script = content.to_string();
+            self.ctx.set_script(content.to_string());
         }
         Ok(())
     }
@@ -1617,18 +1626,22 @@ struct RunnerSpec {
 }
 
 /// Executes one script function inside a fresh interpreter over the shared
-/// filesystem, then merges filesystem changes back (sequential tasks ⇒ the
-/// merge is a plain replace, like a shared NFS mount).
+/// filesystem. The filesystem moves into the interpreter for the task (the
+/// lock is held throughout) and moves back afterwards: the task's writes are
+/// kept when the function returns, and rolled back when the script fails to
+/// parse, its top level fails, or the function errors out.
 fn run_script_task(
     ctx: &TaskContext,
     spec: &RunnerSpec,
     shared_vfs: Arc<Mutex<Vfs>>,
     urls: UrlStore,
     registry: Arc<AppRegistry>,
-    script: &str,
+    program: &Result<Program, ShellError>,
     seed: u64,
 ) -> TaskResult {
-    let vfs = shared_vfs.lock().clone();
+    let mut shared = shared_vfs.lock();
+    let mut vfs = std::mem::take(&mut *shared);
+    vfs.checkpoint();
     let mut interp = Interpreter::new(
         ExecutionEnv {
             sku: ctx.sku.clone(),
@@ -1638,6 +1651,24 @@ fn run_script_task(
         vfs,
         urls,
     );
+    let outcome = run_in(&mut interp, ctx, spec, program);
+    let mut vfs = interp.into_vfs();
+    match outcome {
+        Ok(_) => vfs.commit(),
+        Err(_) => vfs.rollback(),
+    }
+    *shared = vfs;
+    outcome.unwrap_or_else(|discarded| discarded)
+}
+
+/// The body of [`run_script_task`]: `Ok` when the task's filesystem writes
+/// stand (whatever its exit code), `Err` when they are discarded.
+fn run_in(
+    interp: &mut Interpreter,
+    ctx: &TaskContext,
+    spec: &RunnerSpec,
+    program: &Result<Program, ShellError>,
+) -> Result<TaskResult, TaskResult> {
     interp.set_cwd(&spec.cwd);
     for (k, v) in &spec.env {
         interp.set_var(k, v);
@@ -1652,32 +1683,38 @@ fn run_script_task(
 
     // Scheduling/launch overhead on the batch side.
     let overhead = SimDuration::from_secs(5);
-    let load = match interp.load_script(script) {
+    let load = match program
+        .as_ref()
+        .map_err(Clone::clone)
+        .and_then(|program| interp.load_program(program))
+    {
         Ok(outcome) => outcome,
-        Err(e) => return TaskResult::failed(overhead, format!("script parse error: {e}\n"), 127),
+        Err(e) => {
+            let message = format!("script parse error: {e}\n");
+            return Err(TaskResult::failed(overhead, message, 127));
+        }
     };
     if load.exit_code != 0 {
-        return TaskResult::failed(
+        return Err(TaskResult::failed(
             overhead + load.elapsed,
             format!("{}script top-level failed\n", load.stdout),
             load.exit_code,
-        );
+        ));
     }
     match interp.call_function(&spec.function) {
         Ok(outcome) => {
-            *shared_vfs.lock() = interp.vfs().clone();
             let duration = overhead + load.elapsed + outcome.elapsed;
-            if outcome.exit_code == 0 {
+            Ok(if outcome.exit_code == 0 {
                 TaskResult::ok(duration, outcome.stdout)
             } else {
                 TaskResult::failed(duration, outcome.stdout, outcome.exit_code)
-            }
+            })
         }
-        Err(e) => TaskResult::failed(
+        Err(e) => Err(TaskResult::failed(
             overhead + load.elapsed,
             format!("script error in {}: {e}\n", spec.function),
             126,
-        ),
+        )),
     }
 }
 
@@ -1941,5 +1978,145 @@ mod option_tests {
         assert!(scenarios
             .iter()
             .all(|s| s.status == ScenarioStatus::Completed));
+    }
+}
+
+#[cfg(test)]
+mod task_vfs_tests {
+    use super::*;
+    use crate::deployment::DeploymentManager;
+    use crate::scenario::generate_scenarios;
+    use cloudsim::SkuCatalog;
+
+    /// A collector running `script` over the small LAMMPS grid. With
+    /// `seeded`, the app directory already holds `in.txt`, so a setup task
+    /// that writes nothing leaves the filesystem as it was.
+    fn collector_with(script: &str, seeded: bool) -> (Collector, Vec<Scenario>) {
+        let config = UserConfig::example_lammps_small();
+        let mut manager = DeploymentManager::new(&config.subscription, &config.region, 7).unwrap();
+        let rg = manager.create(&config).unwrap();
+        let mut collector = Collector::new(
+            manager.provider(),
+            &rg,
+            config.clone(),
+            CollectorOptions::default(),
+        )
+        .unwrap();
+        collector
+            .register_script(&config.appsetupurl, script)
+            .unwrap();
+        if seeded {
+            let app_dir = collector.ctx.app_dir();
+            collector
+                .shared_vfs()
+                .lock()
+                .write(&format!("{app_dir}/in.txt"), "seed\n");
+        }
+        let scenarios = generate_scenarios(&config, &SkuCatalog::azure_hpc()).unwrap();
+        (collector, scenarios)
+    }
+
+    /// What running one scenario left behind.
+    struct Run {
+        point: DataPoint,
+        /// Output and exit code of the last task the service ran.
+        last_task: (String, Option<i32>),
+        before: Vfs,
+        after: Vfs,
+        task_dir: String,
+    }
+
+    /// Runs the first scenario of the grid under `script`.
+    fn run_first(script: &str, seeded: bool) -> Run {
+        let (mut collector, mut scenarios) = collector_with(script, seeded);
+        let before = collector.shared_vfs().lock().clone();
+        let id = scenarios[0].id;
+        let ds = collector.run_scenarios(&mut scenarios, &[id]).unwrap();
+        let after = collector.shared_vfs().lock().clone();
+        let task = collector.service.tasks().last().unwrap();
+        Run {
+            point: ds.points[0].clone(),
+            last_task: (task.stdout.clone(), task.exit_code),
+            before,
+            after,
+            task_dir: format!("{}/task-{id}", collector.ctx.app_dir()),
+        }
+    }
+
+    fn assert_discarded(script: &str, seeded: bool, output: &str, exit_code: i32) {
+        let run = run_first(script, seeded);
+        assert_eq!(run.point.status, ScenarioStatus::Failed);
+        let (stdout, code) = &run.last_task;
+        assert!(stdout.contains(output), "{stdout}");
+        assert_eq!(*code, Some(exit_code));
+        assert_eq!(
+            run.after, run.before,
+            "the failed task's writes are rolled back"
+        );
+        assert!(!run.after.exists(&format!("{}/hostfile", run.task_dir)));
+        assert!(!run.after.dir_exists(&run.task_dir));
+    }
+
+    #[test]
+    fn unparseable_script_leaves_the_filesystem_untouched() {
+        // Unseeded: the setup task's working directory, the app directory,
+        // is its only write.
+        assert_discarded(
+            "hpcadvisor_setup() {\n  true\n}\nhpcadvisor_run() {\n  cp ../in.txt out.txt\n",
+            false,
+            "script parse error: syntax error",
+            127,
+        );
+    }
+
+    #[test]
+    fn failing_top_level_leaves_the_filesystem_untouched() {
+        // Top level fails only where the hostfile exists: in the compute
+        // task, after it copied a file.
+        assert_discarded(
+            "hpcadvisor_setup() {\n  true\n}\nhpcadvisor_run() {\n  true\n}\n\
+             if [[ -f hostfile ]]; then\n  cp ../in.txt partial.txt\n  false\nfi\n",
+            true,
+            "script top-level failed",
+            1,
+        );
+    }
+
+    #[test]
+    fn undefined_function_leaves_the_filesystem_untouched() {
+        assert_discarded(
+            "hpcadvisor_setup() {\n  true\n}\n\
+             if [[ -f hostfile ]]; then\n  cp ../in.txt top.txt\nfi\n",
+            true,
+            "script error in hpcadvisor_run: function 'hpcadvisor_run' is not defined",
+            126,
+        );
+    }
+
+    #[test]
+    fn non_zero_exit_keeps_the_tasks_writes() {
+        let run = run_first(
+            "hpcadvisor_setup() {\n  true\n}\nhpcadvisor_run() {\n  cp ../in.txt out.txt\n  return 3\n}\n",
+            true,
+        );
+        assert_eq!(run.point.status, ScenarioStatus::Failed);
+        assert_eq!(run.last_task.1, Some(3));
+        let dir = &run.task_dir;
+        assert!(run.after.dir_exists(dir));
+        assert!(run.after.exists(&format!("{dir}/hostfile")));
+        assert_eq!(run.after.read(&format!("{dir}/out.txt")).unwrap(), "seed\n");
+    }
+
+    #[test]
+    fn registered_script_replaces_the_one_tasks_run() {
+        let point = run_first(
+            "hpcadvisor_setup() {\n  true\n}\nhpcadvisor_run() {\n  \
+             echo \"HPCADVISORVAR APPEXECTIME=42\"\n  echo \"HPCADVISORVAR MARKER=registered\"\n}\n",
+            true,
+        )
+        .point;
+        assert_eq!(point.status, ScenarioStatus::Completed);
+        assert_eq!(point.metric("MARKER"), Some("registered"));
+        assert_eq!(point.exec_time_secs, 42.0);
     }
 }

@@ -1,6 +1,26 @@
 //! Abstract syntax for task scripts.
 
+use crate::error::ShellError;
 use crate::lexer::Word;
+use crate::parser::parse;
+use std::sync::Arc;
+
+/// A parsed script: its top-level statements behind a shared pointer, so
+/// one parse serves every interpreter that loads it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Program(Arc<[Stmt]>);
+
+impl Program {
+    /// Parses a full script.
+    pub fn parse(script: &str) -> Result<Program, ShellError> {
+        parse(script).map(|stmts| Program(stmts.into()))
+    }
+
+    /// The top-level statements.
+    pub fn stmts(&self) -> &[Stmt] {
+        &self.0
+    }
+}
 
 /// A simple command: words that expand to `argv` at run time.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,8 +83,8 @@ pub enum Stmt {
     FuncDef {
         /// Function name.
         name: String,
-        /// Body statements.
-        body: Vec<Stmt>,
+        /// Body statements, shared with the interpreter's function table.
+        body: Arc<[Stmt]>,
     },
     /// `for NAME in words…; do body; done`
     For {

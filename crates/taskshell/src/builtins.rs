@@ -10,6 +10,7 @@ use crate::interp::Interpreter;
 use crate::regexlite::Regex;
 use crate::vfs::resolve;
 use simtime::SimDuration;
+use std::borrow::Cow;
 
 /// Dispatches a builtin by name.
 pub fn run(
@@ -237,14 +238,14 @@ fn grep(
     }
     let pattern = pattern.ok_or_else(|| usage("grep", "missing pattern"))?;
     let re = Regex::compile(pattern)?;
-    let mut text = String::new();
+    let mut sources: Vec<&str> = Vec::new();
     if files.is_empty() {
-        text.push_str(stdin);
+        sources.push(stdin);
     } else {
         for f in &files {
             let p = resolve(interp.cwd(), f);
             match interp.vfs().read(&p) {
-                Ok(content) => text.push_str(content),
+                Ok(content) => sources.push(content),
                 // Like real grep: status 2 on a missing file, no shell abort
                 // (Listing 2 relies on this to take its failure branch when
                 // the application never wrote its log).
@@ -261,6 +262,12 @@ fn grep(
             }
         }
     }
+    // One source is searched in place; several are joined first, since a
+    // file without a final newline runs on into the next one's first line.
+    let text: Cow<str> = match sources.as_slice() {
+        [one] => Cow::Borrowed(one),
+        many => Cow::Owned(many.concat()),
+    };
     let mut matched = 0usize;
     let mut out = String::new();
     for line in text.lines() {
@@ -781,6 +788,29 @@ mod tests {
         assert_eq!(out.stdout, "1\n");
         let out = i.run_script("grep -v et /f\n").unwrap();
         assert_eq!(out.stdout, "alpha\ngamma\n");
+    }
+
+    #[test]
+    fn grep_reads_one_file_in_place_and_joins_several() {
+        let mut i = Interpreter::for_tests();
+        i.vfs_mut()
+            .write("/log", "Loop time of 1.5\nMesh size: 9\n");
+        i.vfs_mut().write("/a", "no newline");
+        i.vfs_mut().write("/b", " Loop\nLoop b\n");
+        i.set_cwd("/");
+        let out = i.run_script("grep Loop /log\n").unwrap();
+        assert_eq!(out.stdout, "Loop time of 1.5\n");
+        let out = i.run_script("cat /log | grep 'size:'\n").unwrap();
+        assert_eq!(out.stdout, "Mesh size: 9\n");
+        // A file without a final newline runs on into the next file.
+        let out = i.run_script("grep Loop /a /b\n").unwrap();
+        assert_eq!(out.stdout, "no newline Loop\nLoop b\n");
+        let out = i.run_script("grep -c 'e\\.' /log /a\n").unwrap();
+        assert_eq!(out.stdout, "0\n");
+        let out = i
+            .run_script("grep -q Loop /log /missing\necho $?\n")
+            .unwrap();
+        assert_eq!(out.stdout, "2\n");
     }
 
     #[test]

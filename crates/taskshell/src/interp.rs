@@ -1,10 +1,9 @@
 //! The script interpreter: expansion, control flow, virtual time.
 
-use crate::ast::{CommandList, ListOp, Pipeline, Stmt};
+use crate::ast::{CommandList, ListOp, Pipeline, Program, Stmt};
 use crate::builtins;
 use crate::error::ShellError;
-use crate::lexer::{Segment, Word};
-use crate::parser::parse;
+use crate::lexer::{Segment, Substitution, Word};
 use crate::urlstore::UrlStore;
 use crate::vfs::Vfs;
 use appmodel::{AppRegistry, MachineProfile};
@@ -26,7 +25,7 @@ pub struct ExecutionEnv {
 }
 
 /// Result of running a script or calling one of its functions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScriptOutcome {
     /// Exit status (0 = success).
     pub exit_code: i32,
@@ -46,7 +45,7 @@ enum Flow {
 pub struct Interpreter {
     pub(crate) vars: HashMap<String, String>,
     pub(crate) exported: std::collections::HashSet<String>,
-    functions: HashMap<String, Vec<Stmt>>,
+    functions: HashMap<String, Arc<[Stmt]>>,
     pub(crate) vfs: Vfs,
     pub(crate) urls: UrlStore,
     pub(crate) cwd: String,
@@ -136,6 +135,11 @@ impl Interpreter {
         &mut self.vfs
     }
 
+    /// Consumes the interpreter, handing back its filesystem.
+    pub fn into_vfs(self) -> Vfs {
+        self.vfs
+    }
+
     /// The machine profile `mpirun` runs against.
     pub(crate) fn machine(&self) -> MachineProfile {
         MachineProfile::from_sku(&self.exec.sku)
@@ -157,20 +161,19 @@ impl Interpreter {
 
     /// Parses and runs a script from the top.
     pub fn run_script(&mut self, script: &str) -> Result<ScriptOutcome, ShellError> {
-        let stmts = parse(script)?;
+        self.load_program(&Program::parse(script)?)
+    }
+
+    /// Runs an already-parsed program from the top, registering its
+    /// function definitions. Loading one [`Program`] into many
+    /// interpreters costs no re-parse: function bodies are shared.
+    pub fn load_program(&mut self, program: &Program) -> Result<ScriptOutcome, ShellError> {
         let start_elapsed = self.elapsed;
         let start_len = self.stdout.len();
-        let mut status = 0;
-        match self.exec_stmts(&stmts)? {
-            Flow::Return(code) => status = code,
-            Flow::Normal => {
-                status = if status == 0 {
-                    self.last_status
-                } else {
-                    status
-                }
-            }
-        }
+        let status = match self.exec_stmts(program.stmts())? {
+            Flow::Return(code) => code,
+            Flow::Normal => self.last_status,
+        };
         Ok(ScriptOutcome {
             exit_code: status,
             stdout: self.stdout[start_len..].to_string(),
@@ -228,7 +231,7 @@ impl Interpreter {
         self.bump()?;
         match stmt {
             Stmt::FuncDef { name, body } => {
-                self.functions.insert(name.clone(), body.clone());
+                self.functions.insert(name.clone(), Arc::clone(body));
                 self.last_status = 0;
                 Ok(Flow::Normal)
             }
@@ -374,8 +377,8 @@ impl Interpreter {
                         self.splice(&mut argv, &mut current, &value, *quoted);
                         keep = keep || *quoted;
                     }
-                    Segment::CmdSub(src, quoted) => {
-                        let value = self.command_substitute(src)?;
+                    Segment::CmdSub(sub, quoted) => {
+                        let value = self.command_substitute(sub)?;
                         self.splice(&mut argv, &mut current, &value, *quoted);
                         keep = keep || *quoted;
                     }
@@ -419,7 +422,7 @@ impl Interpreter {
             match seg {
                 Segment::Lit(s) => out.push_str(s),
                 Segment::Var(name, _) => out.push_str(&self.lookup_var(name)),
-                Segment::CmdSub(src, _) => out.push_str(&self.command_substitute(src)?),
+                Segment::CmdSub(sub, _) => out.push_str(&self.command_substitute(sub)?),
                 Segment::Arith(expr) => out.push_str(&self.arithmetic(expr)?.to_string()),
             }
         }
@@ -434,12 +437,12 @@ impl Interpreter {
     }
 
     /// Runs `$(...)` content and returns its stdout without the trailing
-    /// newline.
-    fn command_substitute(&mut self, src: &str) -> Result<String, ShellError> {
+    /// newline. A body that failed to parse raises its syntax error here.
+    fn command_substitute(&mut self, sub: &Substitution) -> Result<String, ShellError> {
         self.bump()?;
-        let stmts = parse(src)?;
+        let program = sub.program.as_ref().map_err(Clone::clone)?;
         let start_len = self.stdout.len();
-        let flow = self.exec_stmts(&stmts)?;
+        let flow = self.exec_stmts(program.stmts())?;
         let mut out = self.stdout.split_off(start_len);
         if let Flow::Return(code) = flow {
             self.last_status = code;
@@ -710,6 +713,81 @@ mod tests {
             i.run_script("frobnicate --fast\n"),
             Err(ShellError::UnknownCommand(_))
         ));
+    }
+}
+
+#[cfg(test)]
+mod program_tests {
+    use super::*;
+
+    const SCRIPT: &str = r#"
+greet() {
+  echo "hello $WHO"
+}
+hpcadvisor_run() {
+  NP=$(($NNODES * 4))
+  for x in a b; do
+    echo "$x:$(greet)"
+  done
+  echo "np=$NP"
+  return 2
+}
+WHO=world
+echo top
+"#;
+
+    fn interp_with(nnodes: &str) -> Interpreter {
+        let mut i = Interpreter::for_tests();
+        i.set_var("NNODES", nnodes);
+        i
+    }
+
+    #[test]
+    fn one_program_serves_many_interpreters() {
+        let program = Program::parse(SCRIPT).unwrap();
+        for nnodes in ["1", "3"] {
+            let mut from_source = interp_with(nnodes);
+            let want_load = from_source.run_script(SCRIPT).unwrap();
+            let want_run = from_source.call_function("hpcadvisor_run").unwrap();
+            let mut shared = interp_with(nnodes);
+            assert_eq!(shared.load_program(&program).unwrap(), want_load);
+            assert_eq!(shared.call_function("hpcadvisor_run").unwrap(), want_run);
+        }
+        let mut i = interp_with("3");
+        i.load_program(&program).unwrap();
+        let out = i.call_function("hpcadvisor_run").unwrap();
+        assert_eq!(out.stdout, "a:hello world\nb:hello world\nnp=12\n");
+        assert_eq!(out.exit_code, 2);
+    }
+
+    #[test]
+    fn load_script_is_parse_then_load() {
+        let mut a = Interpreter::for_tests();
+        let mut b = Interpreter::for_tests();
+        assert_eq!(
+            a.load_script(SCRIPT).unwrap(),
+            b.load_program(&Program::parse(SCRIPT).unwrap()).unwrap()
+        );
+        assert_eq!(
+            a.load_script("fi\n").unwrap_err(),
+            Program::parse("fi\n").unwrap_err()
+        );
+    }
+
+    #[test]
+    fn malformed_substitution_fails_only_when_it_runs() {
+        let script = "f() {\n  X=$(if true; then echo x)\n  echo after\n}\n\
+                      if false; then\n  f\nfi\necho loaded\n";
+        let program = Program::parse(script).expect("a bad $(...) does not fail the parse");
+        let mut i = Interpreter::for_tests();
+        let out = i.load_program(&program).unwrap();
+        assert_eq!(out.stdout, "loaded\n");
+        assert_eq!(out.exit_code, 0);
+        // Running it raises the body's own syntax error, as parsing the
+        // body on its own would.
+        let err = i.call_function("f").unwrap_err();
+        assert_eq!(err, Program::parse("if true; then echo x").unwrap_err());
+        assert!(matches!(err, ShellError::Parse { .. }));
     }
 }
 

@@ -4,7 +4,9 @@
 //! `$VAR`, `$(cmd)`, `$((expr))`), with quoting captured per segment so the
 //! interpreter knows whether to field-split the expansion.
 
+use crate::ast::Program;
 use crate::error::ShellError;
+use std::sync::Arc;
 
 /// One expandable piece of a word.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,11 +17,22 @@ pub enum Segment {
     /// `true` when the expansion occurred inside double quotes (no field
     /// splitting).
     Var(String, bool),
-    /// `$(command …)` — runs the raw source and expands to its stdout with
-    /// the trailing newline removed. Quoted flag as for `Var`.
-    CmdSub(String, bool),
+    /// `$(command …)` — runs the body and expands to its stdout with the
+    /// trailing newline removed. Quoted flag as for `Var`.
+    CmdSub(Arc<Substitution>, bool),
     /// `$((expression))` — arithmetic expansion.
     Arith(String),
+}
+
+/// The body of a `$(…)`, parsed together with the enclosing script.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Substitution {
+    /// The raw text between `$(` and `)`.
+    pub src: String,
+    /// `src` parsed. A syntax error is kept, not raised: it surfaces only
+    /// when the substitution executes, so one in a branch never taken is
+    /// harmless.
+    pub program: Result<Program, ShellError>,
 }
 
 /// A word: one or more segments.
@@ -271,9 +284,13 @@ fn parse_dollar(
                     ')' => {
                         depth -= 1;
                         if depth == 0 {
-                            let inner: String = chars[start..*i].iter().collect();
+                            let src: String = chars[start..*i].iter().collect();
                             *i += 1;
-                            return Ok(Segment::CmdSub(inner, quoted));
+                            let program = Program::parse(&src);
+                            return Ok(Segment::CmdSub(
+                                Arc::new(Substitution { src, program }),
+                                quoted,
+                            ));
                         }
                     }
                     _ => {}
@@ -377,7 +394,7 @@ mod tests {
         match &t[1] {
             Token::Word(w) => {
                 assert_eq!(w[0], lit("APP="));
-                assert!(matches!(&w[1], Segment::CmdSub(c, false) if c == "which lmp"));
+                assert!(matches!(&w[1], Segment::CmdSub(sub, false) if sub.src == "which lmp"));
             }
             other => panic!("{other:?}"),
         }

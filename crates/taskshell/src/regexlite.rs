@@ -57,6 +57,10 @@ enum Quant {
 #[derive(Debug, Clone)]
 pub struct Regex {
     atoms: Vec<(Atom, Quant)>,
+    /// The text to search for when every atom is a literal matched
+    /// exactly once (`grep Loop`, `a\.b`); such patterns skip the
+    /// backtracking matcher.
+    literal: Option<String>,
 }
 
 impl Regex {
@@ -167,11 +171,29 @@ impl Regex {
             };
             atoms.push((atom, quant));
         }
-        Ok(Regex { atoms })
+        let literal = atoms
+            .iter()
+            .map(|(atom, quant)| match (atom, quant) {
+                (Atom::Literal(c), Quant::One) => Some(*c),
+                _ => None,
+            })
+            .collect();
+        Ok(Regex { atoms, literal })
     }
 
     /// Finds the leftmost match.
     pub fn find(&self, haystack: &str) -> Option<Match> {
+        if let Some(needle) = &self.literal {
+            return haystack.find(needle.as_str()).map(|start| Match {
+                start,
+                end: start + needle.len(),
+            });
+        }
+        self.find_backtracking(haystack)
+    }
+
+    /// [`Regex::find`] through the general matcher, whatever the pattern.
+    fn find_backtracking(&self, haystack: &str) -> Option<Match> {
         let hay: Vec<char> = haystack.chars().collect();
         // Byte offsets for each char index (plus end).
         let mut offsets = Vec::with_capacity(hay.len() + 1);
@@ -329,8 +351,20 @@ impl Regex {
 }
 
 #[cfg(test)]
+impl Regex {
+    /// The same pattern with the literal fast path switched off.
+    fn backtracking_only(&self) -> Regex {
+        Regex {
+            atoms: self.atoms.clone(),
+            literal: None,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn re(p: &str) -> Regex {
         Regex::compile(p).unwrap()
@@ -414,6 +448,65 @@ mod tests {
         assert!(Regex::compile("[abc").is_err());
         assert!(Regex::compile("+x").is_err());
         assert!(Regex::compile("x\\").is_err());
+    }
+
+    #[test]
+    fn all_literal_patterns_take_the_fast_path() {
+        for pattern in ["", "Loop", "Mesh size", r"a\.b", r"\[x", "x^y$z", "é"] {
+            assert!(re(pattern).literal.is_some(), "{pattern}");
+        }
+        for pattern in ["a.b", "^Loop", "Loop$", "ab+", r"\s", "[ab]"] {
+            assert!(re(pattern).literal.is_none(), "{pattern}");
+        }
+        assert_eq!(re(r"a\.b").literal.as_deref(), Some("a.b"));
+        assert_eq!(re("x^y$z").literal.as_deref(), Some("x^y$z"));
+    }
+
+    /// Spells `text` as a pattern matching it literally: escapes what
+    /// would be a metacharacter, leaves `^`/`$` bare where they are
+    /// ordinary characters anyway.
+    fn literal_pattern(text: &str) -> String {
+        let last = text.chars().count().saturating_sub(1);
+        let mut pattern = String::new();
+        for (i, c) in text.chars().enumerate() {
+            let escape = match c {
+                '.' | '[' | '\\' => true,
+                '^' => i == 0,
+                '$' => i == last,
+                _ => false,
+            };
+            if escape {
+                pattern.push('\\');
+            }
+            pattern.push(c);
+        }
+        pattern
+    }
+
+    proptest! {
+        /// The fast path answers exactly like the backtracking matcher: the
+        /// same leftmost byte-offset match and the same replacements, over
+        /// multibyte haystacks and escaped metacharacters.
+        #[test]
+        fn literal_fast_path_matches_backtracking(
+            needle in "[ab.é^$\\[\\\\]{0,3}",
+            hay in "[ab.éα ^$\\[\\\\]{0,24}",
+            replacement in "[xé]{0,2}"
+        ) {
+            let fast = re(&literal_pattern(&needle));
+            prop_assert_eq!(fast.literal.as_deref(), Some(needle.as_str()));
+            let slow = fast.backtracking_only();
+            prop_assert_eq!(fast.find(&hay), slow.find(&hay));
+            prop_assert_eq!(fast.is_match(&hay), slow.is_match(&hay));
+            prop_assert_eq!(
+                fast.replace_first(&hay, &replacement),
+                slow.replace_first(&hay, &replacement)
+            );
+            prop_assert_eq!(
+                fast.replace_all(&hay, &replacement),
+                slow.replace_all(&hay, &replacement)
+            );
+        }
     }
 
     #[test]
