@@ -3,19 +3,21 @@
 //! Unlike the criterion benches (statistical, local), this is a blunt
 //! regression tripwire: it times the two paths PRs regress most often —
 //! the 4-worker parallel collect and the cache-warm collect — as the
-//! median of a few single-shot runs, writes the numbers as JSON, and in
-//! `--check` mode fails if either median exceeds the checked-in baseline
-//! by more than the tolerance (default 25%, override with `--tolerance`
-//! or `HPCADVISOR_BENCH_TOLERANCE`).
+//! median of a few single-shot runs, writes the numbers as JSON together
+//! with the host's core count (`nproc`), and in `--check` mode fails if
+//! either median exceeds the checked-in baseline by more than the
+//! tolerance (default 25%, override with `--tolerance` or
+//! `HPCADVISOR_BENCH_TOLERANCE`). Baselines recorded before `nproc` was
+//! written still check.
 //!
 //! ```text
 //! bench_baseline --write --out BENCH_baseline.json   # refresh baseline
 //! bench_baseline --check BENCH_baseline.json --out BENCH_ci.json
 //! ```
 
+use hpcadvisor_bench::timing::{load_baseline, results_json, BenchResult};
 use hpcadvisor_core::cache::ScenarioCache;
 use hpcadvisor_core::prelude::*;
-use hpcadvisor_formats::{json, OrderedMap, Value};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -82,17 +84,6 @@ fn cache_warm_batch(cache_path: &PathBuf) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
-struct BenchResult {
-    name: &'static str,
-    median_secs: f64,
-    samples: Vec<f64>,
-}
-
 fn run_benches() -> Vec<BenchResult> {
     // Warm the cache once outside the timed region.
     let cache_path = std::env::temp_dir().join(format!(
@@ -114,62 +105,20 @@ fn run_benches() -> Vec<BenchResult> {
     // is exactly the noise band the tolerance is meant to cover.
     let _ = parallel_collect_batch();
 
-    let mut results = Vec::new();
-    let mut samples: Vec<f64> = (0..SAMPLES).map(|_| parallel_collect_batch()).collect();
-    results.push(BenchResult {
-        name: "parallel_collect_36x4",
-        median_secs: median(&mut samples),
-        samples,
-    });
-    let mut samples: Vec<f64> = (0..SAMPLES)
-        .map(|_| cache_warm_batch(&cache_path))
-        .collect();
-    results.push(BenchResult {
-        name: "cache_warm_36",
-        median_secs: median(&mut samples),
-        samples,
-    });
+    let results = vec![
+        BenchResult::new(
+            "parallel_collect_36x4",
+            (0..SAMPLES).map(|_| parallel_collect_batch()).collect(),
+        ),
+        BenchResult::new(
+            "cache_warm_36",
+            (0..SAMPLES)
+                .map(|_| cache_warm_batch(&cache_path))
+                .collect(),
+        ),
+    ];
     let _ = std::fs::remove_file(&cache_path);
     results
-}
-
-fn to_json(results: &[BenchResult]) -> String {
-    let mut benches = OrderedMap::new();
-    for r in results {
-        let mut m = OrderedMap::new();
-        m.insert("median_secs", Value::Float(r.median_secs));
-        m.insert(
-            "samples",
-            Value::Seq(r.samples.iter().map(|s| Value::Float(*s)).collect()),
-        );
-        benches.insert(r.name, Value::Map(m));
-    }
-    let mut doc = OrderedMap::new();
-    doc.insert("version", Value::Int(1));
-    doc.insert("benches", Value::Map(benches));
-    let mut text = json::to_string_pretty(&Value::Map(doc));
-    text.push('\n');
-    text
-}
-
-/// Reads `{bench name -> median_secs}` out of a baseline file.
-fn load_baseline(path: &str) -> Result<Vec<(String, f64)>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("bad baseline {path}: {e}"))?;
-    let benches = doc
-        .get("benches")
-        .and_then(|v| v.as_map())
-        .ok_or_else(|| format!("baseline {path} has no 'benches' map"))?;
-    let mut out = Vec::new();
-    for (name, entry) in benches.iter() {
-        let median = entry
-            .get("median_secs")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("baseline bench '{name}' has no median_secs"))?;
-        out.push((name.to_string(), median));
-    }
-    Ok(out)
 }
 
 fn main() {
@@ -247,7 +196,7 @@ fn main() {
         }
         .to_string()
     });
-    std::fs::write(&out_path, to_json(&results)).expect("write results");
+    std::fs::write(&out_path, results_json(&results)).expect("write results");
     println!("wrote {out_path}");
 
     if let Some(baseline_path) = check {

@@ -25,11 +25,11 @@
 //! bench_large --check BENCH_large.json --out BENCH_large_ci.json
 //! ```
 
+use hpcadvisor_bench::timing::{load_baseline, results_json, BenchResult};
 use hpcadvisor_core::cache::{Fingerprint, ScenarioCache};
 use hpcadvisor_core::dataset::point;
 use hpcadvisor_core::prelude::*;
 use hpcadvisor_core::CollectStats;
-use hpcadvisor_formats::{json, OrderedMap, Value};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -265,27 +265,8 @@ fn build_store(path: &PathBuf) {
     cache.save().expect("build store");
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
-struct BenchResult {
-    name: &'static str,
-    median_secs: f64,
-    samples: Vec<f64>,
-}
-
 fn sample(name: &'static str, mut one: impl FnMut() -> f64) -> BenchResult {
-    result(name, (0..SAMPLES).map(|_| one()).collect())
-}
-
-fn result(name: &'static str, mut samples: Vec<f64>) -> BenchResult {
-    BenchResult {
-        name,
-        median_secs: median(&mut samples),
-        samples,
-    }
+    BenchResult::new(name, (0..SAMPLES).map(|_| one()).collect())
 }
 
 /// Samples two benches that a gate compares in alternation, so a drift in
@@ -295,7 +276,10 @@ fn sample_pair(
     (name_b, mut b): (&'static str, impl FnMut() -> f64),
 ) -> [BenchResult; 2] {
     let (samples_a, samples_b) = (0..PAIR_SAMPLES).map(|_| (a(), b())).unzip();
-    [result(name_a, samples_a), result(name_b, samples_b)]
+    [
+        BenchResult::new(name_a, samples_a),
+        BenchResult::new(name_b, samples_b),
+    ]
 }
 
 /// The median sample's balance, by ratio.
@@ -412,51 +396,6 @@ fn check_gates(results: &[BenchResult], balance: &SkewBalance) -> bool {
     ok
 }
 
-/// Cores available to this process, recorded beside the timings.
-fn nproc() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn to_json(results: &[BenchResult]) -> String {
-    let mut benches = OrderedMap::new();
-    for r in results {
-        let mut m = OrderedMap::new();
-        m.insert("median_secs", Value::Float(r.median_secs));
-        m.insert(
-            "samples",
-            Value::Seq(r.samples.iter().map(|s| Value::Float(*s)).collect()),
-        );
-        benches.insert(r.name, Value::Map(m));
-    }
-    let mut doc = OrderedMap::new();
-    doc.insert("version", Value::Int(1));
-    doc.insert("nproc", Value::Int(nproc() as i64));
-    doc.insert("benches", Value::Map(benches));
-    let mut text = json::to_string_pretty(&Value::Map(doc));
-    text.push('\n');
-    text
-}
-
-/// Reads `{bench name -> median_secs}` out of a baseline file.
-fn load_baseline(path: &str) -> Result<Vec<(String, f64)>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("bad baseline {path}: {e}"))?;
-    let benches = doc
-        .get("benches")
-        .and_then(|v| v.as_map())
-        .ok_or_else(|| format!("baseline {path} has no 'benches' map"))?;
-    let mut out = Vec::new();
-    for (name, entry) in benches.iter() {
-        let median = entry
-            .get("median_secs")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("baseline bench '{name}' has no median_secs"))?;
-        out.push((name.to_string(), median));
-    }
-    Ok(out)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut write = false;
@@ -537,7 +476,7 @@ fn main() {
         }
         .to_string()
     });
-    std::fs::write(&out_path, to_json(&results)).expect("write results");
+    std::fs::write(&out_path, results_json(&results)).expect("write results");
     println!("wrote {out_path}");
 
     let mut failed = !gates_ok;

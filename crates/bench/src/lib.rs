@@ -7,6 +7,8 @@
 
 use hpcadvisor_core::prelude::*;
 
+pub mod timing;
+
 /// Canonical experiment seed for all paper artifacts in this repo.
 pub const SEED: u64 = 7;
 

@@ -43,7 +43,7 @@
 //! accumulate their results into per-shard output buffers. New entries are
 //! inserted after the merge barrier, so the hot path takes no lock.
 
-use crate::dataset::{point_to_value, value_to_point, DataPoint};
+use crate::dataset::{point_json, value_to_point, DataPoint};
 use crate::error::ToolError;
 use crate::record_log::{Contents, RecordLog};
 use crate::scenario::{Scenario, ScenarioStatus};
@@ -85,8 +85,10 @@ impl StoreFormat {
 /// One record payload: the 16-byte big-endian fingerprint followed by the
 /// point's compact JSON.
 fn encode_payload(fp: u128, point: &DataPoint) -> Vec<u8> {
-    let mut payload = fp.to_be_bytes().to_vec();
-    payload.extend_from_slice(json::to_string(&point_to_value(point)).as_bytes());
+    let json = point_json(point);
+    let mut payload = Vec::with_capacity(16 + json.len());
+    payload.extend_from_slice(&fp.to_be_bytes());
+    payload.extend_from_slice(json.as_bytes());
     payload
 }
 
@@ -135,12 +137,8 @@ impl CachePolicy {
 pub struct Fingerprint(u128);
 
 impl Fingerprint {
-    /// Hex spelling used as the JSON store key (32 lowercase digits).
-    pub fn to_hex(self) -> String {
-        format!("{:032x}", self.0)
-    }
-
-    /// Parses the hex spelling.
+    /// Parses the hex spelling ([`Fingerprint`]'s `Display`: 32 lowercase
+    /// digits, the JSON store key and the journal's `fp`).
     pub fn from_hex(s: &str) -> Option<Self> {
         if s.len() != 32 {
             return None;
@@ -303,6 +301,9 @@ pub struct ScenarioCache {
     /// The next save must rotate: the file is not exactly a log of the
     /// saved entries (legacy JSON, undecodable records, or a clear).
     rotate: bool,
+    /// A `<store>.idx` sidecar index left by older versions, seen on open
+    /// and deleted by the next save.
+    stale_index: Option<PathBuf>,
 }
 
 impl ScenarioCache {
@@ -321,8 +322,12 @@ impl ScenarioCache {
     /// damaged cache must cost a re-run, not a failure.
     pub fn open(path: impl AsRef<Path>) -> Self {
         let (log, contents) = RecordLog::open(path, LOG_MAGIC);
+        let mut index = log.path().as_os_str().to_owned();
+        index.push(".idx");
+        let index = PathBuf::from(index);
         let mut cache = ScenarioCache {
             log: Some(log),
+            stale_index: index.exists().then_some(index),
             ..ScenarioCache::default()
         };
         match contents {
@@ -444,7 +449,15 @@ impl ScenarioCache {
     /// write; rotates the whole log (one record per live entry, in
     /// fingerprint order) when the file is not yet a log of the saved
     /// entries or compaction is due.
+    ///
+    /// Also deletes the `<store>.idx` sidecar index older versions wrote,
+    /// if one was there on open: nothing reads it any more.
     pub fn save(&mut self) -> Result<(), ToolError> {
+        if let Some(index) = self.stale_index.take() {
+            // Best-effort: a leftover index is harmless, so failing to
+            // delete it must not fail the save.
+            let _ = std::fs::remove_file(index);
+        }
         if !self.dirty || self.log.is_none() {
             return Ok(());
         }
@@ -565,7 +578,7 @@ fn parse_store(text: &str) -> Result<HashMap<u128, DataPoint>, ToolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::point;
+    use crate::dataset::{point, point_to_value};
 
     fn scenario(id: u32, sku: &str, nnodes: u32) -> Scenario {
         Scenario {
@@ -656,8 +669,8 @@ mod tests {
     fn hex_roundtrip() {
         let fpr = Fingerprinter::new("lammps", "s", 1, 2);
         let fp = fpr.scenario(&scenario(1, "Standard_HC44rs", 2));
-        assert_eq!(Fingerprint::from_hex(&fp.to_hex()), Some(fp));
-        assert_eq!(fp.to_hex().len(), 32);
+        assert_eq!(Fingerprint::from_hex(&fp.to_string()), Some(fp));
+        assert_eq!(fp.to_string().len(), 32);
         assert_eq!(Fingerprint::from_hex("xyz"), None);
         assert_eq!(Fingerprint::from_hex(""), None);
     }
@@ -966,7 +979,7 @@ mod tests {
         // Hand-write a legacy JSON store, the format older releases saved.
         let mut entries = OrderedMap::new();
         for (fp, p) in &fps {
-            entries.insert(fp.to_hex(), point_to_value(p));
+            entries.insert(fp.to_string(), point_to_value(p));
         }
         let mut doc = OrderedMap::new();
         doc.insert("version", Value::Int(STORE_VERSION));
@@ -996,6 +1009,33 @@ mod tests {
             assert_eq!(migrated.lookup(*fp), Some(p.clone()));
         }
         assert_eq!(migrated.lookup(fpr.scenario(&s4)), Some(p4));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn save_deletes_a_leftover_index_sidecar() {
+        let path = tempfile("stale-idx");
+        let _ = std::fs::remove_file(&path);
+        let mut index = path.as_os_str().to_owned();
+        index.push(".idx");
+        let index = PathBuf::from(index);
+        let fps = three_points();
+        std::fs::write(&index, b"HPCAIDX1 stale offsets").unwrap();
+        let mut cache = ScenarioCache::open(&path);
+        for (fp, p) in &fps {
+            cache.insert(*fp, p);
+        }
+        cache.save().unwrap();
+        assert!(!index.exists(), "a dirty save removes the sidecar");
+        // A clean store skips the rewrite but still drops the sidecar.
+        std::fs::write(&index, b"HPCAIDX1 stale offsets").unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let mut reopened = ScenarioCache::open(&path);
+        assert!(!reopened.is_dirty());
+        reopened.save().unwrap();
+        assert!(!index.exists(), "a clean save removes the sidecar");
+        assert_eq!(std::fs::read(&path).unwrap(), before, "store untouched");
+        assert_eq!(reopened.len(), 3);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -32,7 +32,7 @@ use crate::cache::{
 use crate::config::UserConfig;
 use crate::dataset::{DataPoint, Dataset};
 use crate::error::ToolError;
-use crate::journal::{JournalEntry, RunJournal};
+use crate::journal::{EncodedEntry, JournalEntry, RunJournal};
 use crate::placement::PlacementPolicy;
 use crate::retry::{classify_batch, FaultClass, RetryPolicy};
 use crate::scenario::{Scenario, ScenarioStatus};
@@ -354,8 +354,9 @@ impl Tally {
 
 /// Live journal hook handed into shard runs: appends each terminal outcome
 /// (with its data point) the moment the scenario finishes, so a killed run
-/// leaves a replayable prefix. Cloneable across shard workers; appends
-/// serialize on the journal mutex.
+/// leaves a replayable prefix. Cloneable across shard workers; each record
+/// is encoded by the worker that finished it, and only the append itself
+/// serializes on the journal mutex.
 #[derive(Clone)]
 pub(crate) struct JournalWriter {
     pub(crate) journal: Arc<Mutex<RunJournal>>,
@@ -368,7 +369,9 @@ impl JournalWriter {
         let Some(&fingerprint) = self.fingerprints.get(&outcome.scenario_id) else {
             return;
         };
-        self.journal.lock().append(JournalEntry {
+        // Build and encode the record before locking: the critical section
+        // is then only the in-memory push and the one framed write.
+        let entry = EncodedEntry::from(JournalEntry {
             fingerprint,
             scenario_id: outcome.scenario_id,
             status: outcome.status,
@@ -377,6 +380,7 @@ impl JournalWriter {
             fail_reason: outcome.fail_reason.clone(),
             point: Some(point.clone()),
         });
+        self.journal.lock().append(entry);
     }
 }
 

@@ -3,7 +3,8 @@
 use crate::error::ToolError;
 use crate::scenario::ScenarioStatus;
 use cloudsim::Capacity;
-use hpcadvisor_formats::{json, OrderedMap, Value};
+use hpcadvisor_formats::json::{self, JsonWriter};
+use hpcadvisor_formats::Value;
 use std::collections::HashSet;
 
 /// One collected result row.
@@ -276,8 +277,15 @@ impl Dataset {
 
     /// Serializes the dataset as pretty JSON.
     pub fn to_json(&self) -> String {
-        let items: Vec<Value> = self.points.iter().map(point_to_value).collect();
-        json::to_string_pretty(&Value::Seq(items))
+        let mut out = String::new();
+        let mut w = JsonWriter::pretty(&mut out);
+        w.begin_array();
+        for p in &self.points {
+            write_point(&mut w, p);
+        }
+        w.end_array();
+        out.push('\n');
+        out
     }
 
     /// Parses a stored dataset.
@@ -294,12 +302,31 @@ impl Dataset {
     }
 }
 
+#[cfg(test)]
 fn pairs_to_value(pairs: &[(String, String)]) -> Value {
-    let mut m = OrderedMap::new();
+    let mut m = hpcadvisor_formats::OrderedMap::new();
     for (k, v) in pairs {
         m.insert(k.clone(), Value::str(v));
     }
     Value::Map(m)
+}
+
+/// Writes pairs as a JSON object with [`hpcadvisor_formats::OrderedMap`]'s
+/// semantics: a repeated key keeps its first position and takes its last
+/// value.
+fn write_pairs(w: &mut JsonWriter, pairs: &[(String, String)]) {
+    w.begin_object();
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        if pairs[..i].iter().any(|(seen, _)| seen == k) {
+            continue;
+        }
+        let last = pairs[i + 1..]
+            .iter()
+            .rev()
+            .find_map(|(pk, pv)| (pk == k).then_some(pv));
+        w.key(k).str(last.unwrap_or(v));
+    }
+    w.end_object();
 }
 
 fn value_to_pairs(v: Option<&Value>) -> Vec<(String, String)> {
@@ -312,8 +339,52 @@ fn value_to_pairs(v: Option<&Value>) -> Vec<(String, String)> {
         .unwrap_or_default()
 }
 
+/// Writes one data point as a JSON object: the record the dataset file,
+/// the run journal and the scenario cache all store.
+pub(crate) fn write_point(w: &mut JsonWriter, p: &DataPoint) {
+    w.begin_object();
+    w.key("scenario_id").int(i64::from(p.scenario_id));
+    w.key("appname").str(&p.appname);
+    w.key("sku").str(&p.sku);
+    w.key("nnodes").int(i64::from(p.nnodes));
+    w.key("ppn").int(i64::from(p.ppn));
+    w.key("appinputs");
+    write_pairs(w, &p.appinputs);
+    w.key("exec_time_secs").float(p.exec_time_secs);
+    w.key("task_secs").float(p.task_secs);
+    w.key("cost_dollars").float(p.cost_dollars);
+    w.key("status").str(p.status.as_str());
+    // Dedicated is the implicit default so datasets collected before the
+    // capacity dimension existed stay byte-identical.
+    if p.capacity != Capacity::Dedicated {
+        w.key("capacity").str(p.capacity.as_str());
+    }
+    // Same pattern for placement: the home region is implicit.
+    if let Some(region) = &p.region {
+        w.key("region").str(region);
+    }
+    w.key("metrics");
+    write_pairs(w, &p.metrics);
+    w.key("infra");
+    write_pairs(w, &p.infra);
+    w.key("tags");
+    write_pairs(w, &p.tags);
+    w.key("deployment").str(&p.deployment);
+    w.end_object();
+}
+
+/// Compact JSON of one data point.
+pub(crate) fn point_json(p: &DataPoint) -> String {
+    let mut out = String::new();
+    write_point(&mut JsonWriter::compact(&mut out), p);
+    out
+}
+
+/// The `Value` form of a data point: the reference [`write_point`] is
+/// tested against.
+#[cfg(test)]
 pub(crate) fn point_to_value(p: &DataPoint) -> Value {
-    let mut m = OrderedMap::new();
+    let mut m = hpcadvisor_formats::OrderedMap::new();
     m.insert("scenario_id", Value::Int(p.scenario_id as i64));
     m.insert("appname", Value::str(&p.appname));
     m.insert("sku", Value::str(&p.sku));
@@ -324,12 +395,9 @@ pub(crate) fn point_to_value(p: &DataPoint) -> Value {
     m.insert("task_secs", Value::Float(p.task_secs));
     m.insert("cost_dollars", Value::Float(p.cost_dollars));
     m.insert("status", Value::str(p.status.as_str()));
-    // Dedicated is the implicit default so datasets collected before the
-    // capacity dimension existed stay byte-identical.
     if p.capacity != Capacity::Dedicated {
         m.insert("capacity", Value::str(p.capacity.as_str()));
     }
-    // Same pattern for placement: the home region is implicit.
     if let Some(region) = &p.region {
         m.insert("region", Value::str(region));
     }
@@ -714,6 +782,124 @@ impl Dataset {
             rows.push(row);
         }
         hpcadvisor_formats::csv::write(&rows)
+    }
+}
+
+/// Random data points for property tests of the encoders.
+#[cfg(test)]
+pub(crate) mod arb {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Text mixing every JSON escape with multibyte characters.
+    pub(crate) fn text() -> impl Strategy<Value = String> {
+        "[a-zA-Z0-9_ \"\\\n\r\t\u{0}\u{1}\u{1f}\u{7f}é€🚀]{0,12}"
+    }
+
+    /// Floats at every spelling boundary: whole values below and at or
+    /// above 1e15, tiny and negative values, and -0.0.
+    pub(crate) fn float() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (-1e6f64..1e6f64).prop_map(f64::trunc),
+            -1e6f64..1e6f64,
+            (1e15f64..1e22f64).prop_map(f64::trunc),
+            1e15f64..1e22f64,
+            (-1e-5f64..1e-5f64).prop_map(|f| f * 1e-300),
+            Just(-0.0),
+            Just(0.0),
+        ]
+    }
+
+    /// Pair lists, often empty, over a three-letter key alphabet so that
+    /// repeated keys are common.
+    fn pairs() -> impl Strategy<Value = Vec<(String, String)>> {
+        proptest::collection::vec(("[abc]{1,2}", text()), 0..6)
+    }
+
+    pub(crate) fn point() -> impl Strategy<Value = DataPoint> {
+        (
+            (any::<u32>(), text(), text(), any::<u32>(), any::<u32>()),
+            (pairs(), pairs(), pairs(), pairs()),
+            (float(), float(), float()),
+            (0..5u32, any::<bool>(), any::<bool>(), text(), text()),
+        )
+            .prop_map(
+                |(
+                    (scenario_id, appname, sku, nnodes, ppn),
+                    (appinputs, metrics, infra, tags),
+                    (exec_time_secs, task_secs, cost_dollars),
+                    (status, spot, placed, region, deployment),
+                )| DataPoint {
+                    scenario_id,
+                    appname,
+                    sku,
+                    nnodes,
+                    ppn,
+                    appinputs,
+                    exec_time_secs,
+                    task_secs,
+                    cost_dollars,
+                    status: [
+                        ScenarioStatus::Pending,
+                        ScenarioStatus::Completed,
+                        ScenarioStatus::Failed,
+                        ScenarioStatus::Skipped,
+                        ScenarioStatus::TimedOut,
+                    ][status as usize],
+                    metrics,
+                    infra,
+                    tags,
+                    deployment,
+                    capacity: if spot {
+                        Capacity::Spot
+                    } else {
+                        Capacity::Dedicated
+                    },
+                    region: placed.then_some(region),
+                },
+            )
+    }
+}
+
+#[cfg(test)]
+mod writer_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn repeated_pair_keys_keep_first_position_and_last_value() {
+        let mut p = point(1, "a", "S", 1, 4, 1.0, 0.1);
+        p.metrics = vec![
+            ("k".into(), "1".into()),
+            ("j".into(), "2".into()),
+            ("k".into(), "3".into()),
+        ];
+        let text = point_json(&p);
+        assert!(text.contains(r#""metrics":{"k":"3","j":"2"}"#), "{text}");
+        assert_eq!(text, json::to_string(&point_to_value(&p)));
+    }
+
+    proptest! {
+        /// Written straight into the writer, a point has the bytes of its
+        /// `Value` form, compact and pretty.
+        #[test]
+        fn point_writer_matches_the_value_route(p in arb::point()) {
+            prop_assert_eq!(point_json(&p), json::to_string(&point_to_value(&p)));
+            let mut pretty = String::new();
+            write_point(&mut JsonWriter::pretty(&mut pretty), &p);
+            pretty.push('\n');
+            prop_assert_eq!(pretty, json::to_string_pretty(&point_to_value(&p)));
+        }
+
+        /// The dataset file has the bytes of the `Value`-built document.
+        #[test]
+        fn dataset_json_matches_the_value_route(
+            points in proptest::collection::vec(arb::point(), 0..4)
+        ) {
+            let values = points.iter().map(point_to_value).collect();
+            let ds = Dataset { points };
+            prop_assert_eq!(ds.to_json(), json::to_string_pretty(&Value::Seq(values)));
+        }
     }
 }
 

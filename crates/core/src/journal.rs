@@ -16,10 +16,10 @@
 //! entry) still replay and are rewritten framed on the first append.
 
 use crate::cache::Fingerprint;
-use crate::dataset::{point_to_value, value_to_point, DataPoint};
+use crate::dataset::{value_to_point, write_point, DataPoint};
 use crate::record_log::{open_journal, RecordLog};
 use crate::scenario::ScenarioStatus;
-use hpcadvisor_formats::{json, OrderedMap, Value};
+use hpcadvisor_formats::json::{self, JsonWriter};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -47,19 +47,39 @@ pub struct JournalEntry {
 }
 
 fn entry_to_line(e: &JournalEntry) -> String {
-    let mut m = OrderedMap::new();
-    m.insert("fp", Value::str(e.fingerprint.to_hex()));
-    m.insert("id", Value::Int(i64::from(e.scenario_id)));
-    m.insert("status", Value::str(e.status.as_str()));
-    m.insert("attempts", Value::Int(i64::from(e.attempts)));
-    m.insert("backoff_secs", Value::Float(e.backoff_secs));
+    let mut out = String::new();
+    let mut w = JsonWriter::compact(&mut out);
+    w.begin_object();
+    w.key("fp").str_display(&e.fingerprint);
+    w.key("id").int(i64::from(e.scenario_id));
+    w.key("status").str(e.status.as_str());
+    w.key("attempts").int(i64::from(e.attempts));
+    w.key("backoff_secs").float(e.backoff_secs);
     if let Some(reason) = &e.fail_reason {
-        m.insert("fail_reason", Value::str(reason));
+        w.key("fail_reason").str(reason);
     }
     if let Some(point) = &e.point {
-        m.insert("point", point_to_value(point));
+        w.key("point");
+        write_point(&mut w, point);
     }
-    json::to_string(&Value::Map(m))
+    w.end_object();
+    out
+}
+
+/// A journal entry together with its encoded record. Encoding is the
+/// costly part of an append, so callers sharing one journal across threads
+/// build this before taking the journal's lock.
+#[derive(Debug)]
+pub struct EncodedEntry {
+    entry: JournalEntry,
+    line: String,
+}
+
+impl From<JournalEntry> for EncodedEntry {
+    fn from(entry: JournalEntry) -> Self {
+        let line = entry_to_line(&entry);
+        EncodedEntry { entry, line }
+    }
 }
 
 fn line_to_entry(line: &str) -> Option<JournalEntry> {
@@ -142,9 +162,10 @@ impl RunJournal {
 
     /// Appends one outcome; the record reaches the OS before this returns.
     /// IO errors are swallowed: journalling is best-effort and must never
-    /// fail the collection it protects.
-    pub fn append(&mut self, entry: JournalEntry) {
-        let line = entry_to_line(&entry);
+    /// fail the collection it protects. Passing an [`EncodedEntry`] keeps
+    /// the encoding out of any lock the caller holds around the journal.
+    pub fn append(&mut self, entry: impl Into<EncodedEntry>) {
+        let EncodedEntry { entry, line } = entry.into();
         self.push(entry);
         if let Some(log) = &mut self.log {
             if self.rotate {
@@ -213,6 +234,57 @@ mod tests {
             "hpcadvisor-journal-test-{tag}-{}.jsonl",
             std::process::id()
         ))
+    }
+
+    /// The journal line as built through a `Value` tree: the reference
+    /// [`entry_to_line`] is tested against.
+    fn value_line(e: &JournalEntry) -> String {
+        use crate::dataset::point_to_value;
+        use hpcadvisor_formats::{OrderedMap, Value};
+        let mut m = OrderedMap::new();
+        m.insert("fp", Value::str(e.fingerprint.to_string()));
+        m.insert("id", Value::Int(i64::from(e.scenario_id)));
+        m.insert("status", Value::str(e.status.as_str()));
+        m.insert("attempts", Value::Int(i64::from(e.attempts)));
+        m.insert("backoff_secs", Value::Float(e.backoff_secs));
+        if let Some(reason) = &e.fail_reason {
+            m.insert("fail_reason", Value::str(reason));
+        }
+        if let Some(point) = &e.point {
+            m.insert("point", point_to_value(point));
+        }
+        json::to_string(&Value::Map(m))
+    }
+
+    proptest::proptest! {
+        /// A journal line, built directly or through [`EncodedEntry`], is
+        /// byte-identical to the `Value`-built line.
+        #[test]
+        fn lines_match_the_value_route(
+            raw in proptest::prelude::any::<u64>(),
+            id in proptest::prelude::any::<u32>(),
+            attempts in 0..9u32,
+            backoff_secs in crate::dataset::arb::float(),
+            reason in crate::dataset::arb::text(),
+            point in crate::dataset::arb::point(),
+        ) {
+            let fp_raw = u128::from(raw) << 64 | u128::from(id);
+            let entry = JournalEntry {
+                fingerprint: fp(fp_raw),
+                scenario_id: id,
+                status: point.status,
+                attempts,
+                backoff_secs,
+                fail_reason: (attempts % 2 == 0).then_some(reason),
+                point: (attempts % 3 != 0).then_some(point),
+            };
+            let line = entry_to_line(&entry);
+            proptest::prop_assert_eq!(&line, &value_line(&entry));
+            let head = format!("{{\"fp\":\"{fp_raw:032x}\",\"id\":{id},");
+            proptest::prop_assert!(line.starts_with(&head), "{}", line);
+            let encoded = EncodedEntry::from(entry.clone());
+            proptest::prop_assert_eq!(&encoded.line, &line);
+        }
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub use config::UserConfig;
 pub use dataset::{DataFilter, DataPoint, Dataset};
 pub use deployment::{Deployment, DeploymentManager};
 pub use error::ToolError;
-pub use journal::{JournalEntry, RunJournal};
+pub use journal::{EncodedEntry, JournalEntry, RunJournal};
 pub use placement::PlacementPolicy;
 pub use retry::{FaultClass, RetryPolicy};
 pub use scenario::{Scenario, ScenarioStatus};

@@ -6,7 +6,8 @@
 //! pretty form so users can diff them.
 
 use crate::error::FormatError;
-use crate::value::{format_float, OrderedMap, Value};
+use crate::value::{write_float, OrderedMap, Value};
+use std::fmt::{self, Write as _};
 
 /// Parses a JSON document.
 pub fn parse(input: &str) -> Result<Value, FormatError> {
@@ -23,94 +24,267 @@ pub fn parse(input: &str) -> Result<Value, FormatError> {
 /// Serializes a value to compact JSON.
 pub fn to_string(v: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, v, None, 0);
+    JsonWriter::compact(&mut out).value(v);
     out
 }
 
 /// Serializes a value to pretty JSON with 2-space indentation.
 pub fn to_string_pretty(v: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, v, Some(2), 0);
+    JsonWriter::pretty(&mut out).value(v);
     out.push('\n');
     out
 }
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => out.push_str(&format_float(*f)),
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => write_seq(out, items, indent, depth),
-        Value::Map(m) => write_map(out, m, indent, depth),
+/// Streaming JSON writer: appends one document to a `String` as its
+/// containers, keys and scalars are written, with no intermediate
+/// [`Value`] tree.
+///
+/// This is the crate's only formatter — [`to_string`] and
+/// [`to_string_pretty`] walk a [`Value`] into it — so a record written
+/// field by field is byte-identical to the same record built as a
+/// [`Value`] and serialized. The caller keeps the document well formed:
+/// every `key` inside an object is followed by exactly one value, and
+/// every `begin_*` is matched by its `end_*`.
+///
+/// ```
+/// use hpcadvisor_formats::json::JsonWriter;
+/// let mut out = String::new();
+/// let mut w = JsonWriter::compact(&mut out);
+/// w.begin_object();
+/// w.key("id").int(7);
+/// w.key("tags").begin_array().str("a\"b").end_array();
+/// w.end_object();
+/// assert_eq!(out, r#"{"id":7,"tags":["a\"b"]}"#);
+/// ```
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    depth: usize,
+    /// The innermost open container has no items yet.
+    first: bool,
+    /// A key was just written: the next value follows it directly.
+    after_key: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer emitting compact JSON (no whitespace) into `out`.
+    pub fn compact(out: &'a mut String) -> Self {
+        JsonWriter::new(out, false)
+    }
+
+    /// A writer emitting pretty JSON (2-space indentation, `": "` after
+    /// keys, empty containers as `[]`/`{}`) into `out`. No trailing
+    /// newline is written.
+    pub fn pretty(out: &'a mut String) -> Self {
+        JsonWriter::new(out, true)
+    }
+
+    fn new(out: &'a mut String, pretty: bool) -> Self {
+        JsonWriter {
+            out,
+            pretty,
+            depth: 0,
+            first: true,
+            after_key: false,
+        }
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.item_prefix();
+        write_string(self.out, key);
+        self.out.push(':');
+        if self.pretty {
+            self.out.push(' ');
+        }
+        self.after_key = true;
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.raw("null")
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.raw(if b { "true" } else { "false" })
+    }
+
+    /// Writes an integer.
+    pub fn int(&mut self, i: i64) -> &mut Self {
+        self.before_value();
+        let _ = write!(self.out, "{i}");
+        self
+    }
+
+    /// Writes a float: integral values below 1e15 keep a `.0` marker,
+    /// everything else is the shortest round-tripping spelling.
+    pub fn float(&mut self, f: f64) -> &mut Self {
+        self.before_value();
+        write_float(self.out, f);
+        self
+    }
+
+    /// Writes a string, escaping quotes, backslashes and control
+    /// characters.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.before_value();
+        write_string(self.out, s);
+        self
+    }
+
+    /// Writes the `Display` form of `v` as a string, escaped like
+    /// [`JsonWriter::str`], without formatting it into a `String` first.
+    pub fn str_display(&mut self, v: &impl fmt::Display) -> &mut Self {
+        self.before_value();
+        self.out.push('"');
+        let _ = write!(Escaper(self.out), "{v}");
+        self.out.push('"');
+        self
+    }
+
+    /// Writes a whole [`Value`].
+    pub fn value(&mut self, v: &Value) -> &mut Self {
+        match v {
+            Value::Null => self.null(),
+            Value::Bool(b) => self.bool(*b),
+            Value::Int(i) => self.int(*i),
+            Value::Float(f) => self.float(*f),
+            Value::Str(s) => self.str(s),
+            Value::Seq(items) => {
+                self.begin_array();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_array()
+            }
+            Value::Map(m) => {
+                self.begin_object();
+                for (k, v) in m.iter() {
+                    self.key(k).value(v);
+                }
+                self.end_object()
+            }
+        }
+    }
+
+    fn raw(&mut self, text: &str) -> &mut Self {
+        self.before_value();
+        self.out.push_str(text);
+        self
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.before_value();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.depth = self
+            .depth
+            .checked_sub(1)
+            .expect("end_object/end_array without a matching begin");
+        if !self.first {
+            self.newline_indent();
+        }
+        self.out.push(bracket);
+        // The enclosing container now holds at least this one item.
+        self.first = false;
+        self
+    }
+
+    fn before_value(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        self.item_prefix();
+    }
+
+    /// Separator and line break before an array item or object key.
+    fn item_prefix(&mut self) {
+        if self.depth > 0 {
+            if !self.first {
+                self.out.push(',');
+            }
+            self.newline_indent();
+        }
+        self.first = false;
+    }
+
+    fn newline_indent(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', 2 * self.depth));
+        }
     }
 }
 
-fn write_seq(out: &mut String, items: &[Value], indent: Option<usize>, depth: usize) {
-    if items.is_empty() {
-        out.push_str("[]");
-        return;
-    }
-    out.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        newline_indent(out, indent, depth + 1);
-        write_value(out, item, indent, depth + 1);
-    }
-    newline_indent(out, indent, depth);
-    out.push(']');
-}
+/// Escapes everything written through it into the wrapped string, so a
+/// `Display` impl can stream straight into a JSON string literal.
+struct Escaper<'a>(&'a mut String);
 
-fn write_map(out: &mut String, m: &OrderedMap, indent: Option<usize>, depth: usize) {
-    if m.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    out.push('{');
-    for (i, (k, v)) in m.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        newline_indent(out, indent, depth + 1);
-        write_string(out, k);
-        out.push(':');
-        if indent.is_some() {
-            out.push(' ');
-        }
-        write_value(out, v, indent, depth + 1);
-    }
-    newline_indent(out, indent, depth);
-    out.push('}');
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
+impl fmt::Write for Escaper<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        write_escaped(self.0, s);
+        Ok(())
     }
 }
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    write_escaped(out, s);
     out.push('"');
+}
+
+/// Appends `s` with JSON escapes, copying runs that need none whole. Every
+/// escaped byte is ASCII, so each cut lands on a char boundary.
+fn write_escaped(out: &mut String, s: &str) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        match escape {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
 }
 
 /// Maximum container nesting depth — a stack-overflow guard for crafted
@@ -384,6 +558,116 @@ fn utf8_len(first: u8) -> Option<usize> {
     }
 }
 
+/// The `Value` formatter the streaming writer replaced, kept as the
+/// reference the writer is tested against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::value::{OrderedMap, Value};
+
+    fn format_float(f: f64) -> String {
+        if f == f.trunc() && f.abs() < 1e15 {
+            format!("{f:.1}")
+        } else {
+            let mut s = format!("{f}");
+            if !s.contains('.') && !s.contains('e') && !s.contains("inf") && !s.contains("NaN") {
+                s.push_str(".0");
+            }
+            s
+        }
+    }
+
+    pub(crate) fn to_string(v: &Value) -> String {
+        let mut out = String::new();
+        write_value(&mut out, v, None, 0);
+        out
+    }
+
+    pub(crate) fn to_string_pretty(v: &Value) -> String {
+        let mut out = String::new();
+        write_value(&mut out, v, Some(2), 0);
+        out.push('\n');
+        out
+    }
+
+    fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
+        match v {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => out.push_str(&i.to_string()),
+            Value::Float(f) => out.push_str(&format_float(*f)),
+            Value::Str(s) => write_string(out, s),
+            Value::Seq(items) => write_seq(out, items, indent, depth),
+            Value::Map(m) => write_map(out, m, indent, depth),
+        }
+    }
+
+    fn write_seq(out: &mut String, items: &[Value], indent: Option<usize>, depth: usize) {
+        if items.is_empty() {
+            out.push_str("[]");
+            return;
+        }
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            newline_indent(out, indent, depth + 1);
+            write_value(out, item, indent, depth + 1);
+        }
+        newline_indent(out, indent, depth);
+        out.push(']');
+    }
+
+    fn write_map(out: &mut String, m: &OrderedMap, indent: Option<usize>, depth: usize) {
+        if m.is_empty() {
+            out.push_str("{}");
+            return;
+        }
+        out.push('{');
+        for (i, (k, v)) in m.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            newline_indent(out, indent, depth + 1);
+            write_string(out, k);
+            out.push(':');
+            if indent.is_some() {
+                out.push(' ');
+            }
+            write_value(out, v, indent, depth + 1);
+        }
+        newline_indent(out, indent, depth);
+        out.push('}');
+    }
+
+    fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+        if let Some(width) = indent {
+            out.push('\n');
+            for _ in 0..width * depth {
+                out.push(' ');
+            }
+        }
+    }
+
+    fn write_string(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,6 +737,51 @@ mod tests {
         let s = to_string_pretty(&Value::Map(m));
         let expected = "{\n  \"sku\": \"HB120rs_v3\",\n  \"nnodes\": [\n    1,\n    2\n  ]\n}\n";
         assert_eq!(s, expected);
+    }
+
+    #[test]
+    fn writer_escapes_and_nests_like_the_reference() {
+        let mut inner = OrderedMap::new();
+        inner.insert("e", Value::Seq(vec![]));
+        inner.insert("m", Value::Map(OrderedMap::new()));
+        inner.insert("s", Value::str("q\"b\\n\n\r\t\u{0}\u{1f}\u{7f}é🚀"));
+        let mut m = OrderedMap::new();
+        m.insert("inner", Value::Map(inner));
+        m.insert(
+            "floats",
+            Value::Seq(vec![
+                Value::Float(2.0),
+                Value::Float(-0.0),
+                Value::Float(1e15),
+                Value::Float(-2.5e20),
+                Value::Float(1e-300),
+                Value::Float(0.1),
+            ]),
+        );
+        m.insert(
+            "ints",
+            Value::Seq(vec![Value::Int(i64::MIN), Value::Int(0)]),
+        );
+        let v = Value::Map(m);
+        assert_eq!(to_string(&v), reference::to_string(&v));
+        assert_eq!(to_string_pretty(&v), reference::to_string_pretty(&v));
+        let escaped = concat!(r#""q\"b\\n\n\r\t\u0000\u001f"#, "\u{7f}é🚀\"");
+        assert!(to_string(&v).contains(escaped), "{}", to_string(&v));
+    }
+
+    #[test]
+    fn str_display_escapes_like_str() {
+        struct Tricky;
+        impl fmt::Display for Tricky {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "a\"b")?;
+                write!(f, "\\c\n{:04x}", 0xab)
+            }
+        }
+        let mut direct = String::new();
+        JsonWriter::compact(&mut direct).str_display(&Tricky);
+        assert_eq!(direct, to_string(&Value::str(Tricky.to_string())));
+        assert_eq!(direct, r#""a\"b\\c\n00ab""#);
     }
 
     #[test]

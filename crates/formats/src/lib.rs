@@ -69,7 +69,61 @@ mod proptests {
         })
     }
 
+    /// Floats at every spelling boundary of the formatter: whole values
+    /// below and at or above 1e15, tiny and negative values, and -0.0.
+    fn arb_float() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (-1e6f64..1e6f64).prop_map(f64::trunc),
+            -1e6f64..1e6f64,
+            (1e15f64..1e22f64).prop_map(f64::trunc),
+            1e15f64..1e22f64,
+            (-1e-5f64..1e-5f64).prop_map(|f| f * 1e-300),
+            Just(-0.0),
+            Just(0.0),
+            Just(f64::MAX),
+            Just(-f64::MIN_POSITIVE),
+        ]
+    }
+
+    /// Text mixing every escape the writer emits with multibyte characters.
+    fn arb_text() -> impl Strategy<Value = String> {
+        "[a-z0-9 \"\\\n\r\t\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}é€🚀]{0,24}"
+    }
+
+    fn arb_doc() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<i64>().prop_map(Value::Int),
+            arb_float().prop_map(Value::Float),
+            arb_text().prop_map(Value::Str),
+        ];
+        leaf.prop_recursive(3, 32, 8, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..6).prop_map(Value::Seq),
+                proptest::collection::vec((arb_text(), inner), 0..6).prop_map(|pairs| {
+                    let mut m = OrderedMap::new();
+                    for (k, v) in pairs {
+                        m.insert(k, v);
+                    }
+                    Value::Map(m)
+                }),
+            ]
+        })
+    }
+
     proptest! {
+        /// The streaming writer behind `to_string`/`to_string_pretty`
+        /// produces the reference formatter's bytes.
+        #[test]
+        fn writer_matches_the_reference_formatter(v in arb_doc()) {
+            prop_assert_eq!(json::to_string(&v), json::reference::to_string(&v));
+            prop_assert_eq!(
+                json::to_string_pretty(&v),
+                json::reference::to_string_pretty(&v)
+            );
+        }
+
         /// Any value serialized to JSON parses back to an equal value.
         #[test]
         fn json_roundtrip(v in arb_value()) {

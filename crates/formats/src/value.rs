@@ -1,6 +1,6 @@
 //! The dynamically-typed document value shared by the YAML and JSON codecs.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// An insertion-order-preserving string-keyed map.
 ///
@@ -239,14 +239,22 @@ impl From<OrderedMap> for Value {
 /// marker (distinguishing them from `Int` on re-parse is not required, but
 /// keeps the dataset human-readable).
 pub(crate) fn format_float(f: f64) -> String {
+    let mut s = String::new();
+    write_float(&mut s, f);
+    s
+}
+
+/// Appends [`format_float`]'s spelling of `f` to `out`.
+pub(crate) fn write_float(out: &mut String, f: f64) {
     if f == f.trunc() && f.abs() < 1e15 {
-        format!("{f:.1}")
+        let _ = write!(out, "{f:.1}");
     } else {
-        let mut s = format!("{f}");
+        let start = out.len();
+        let _ = write!(out, "{f}");
+        let s = &out[start..];
         if !s.contains('.') && !s.contains('e') && !s.contains("inf") && !s.contains("NaN") {
-            s.push_str(".0");
+            out.push_str(".0");
         }
-        s
     }
 }
 

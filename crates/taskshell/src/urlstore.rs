@@ -6,11 +6,13 @@
 //! benchmark inputs, so the verbatim scripts work offline.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Maps URLs to their content.
+/// Maps URLs to their content. Clones share one map (every task's
+/// interpreter gets a clone); [`UrlStore::put`] copies it on write.
 #[derive(Debug, Clone, Default)]
 pub struct UrlStore {
-    entries: HashMap<String, String>,
+    entries: Arc<HashMap<String, String>>,
 }
 
 /// The stock LAMMPS Lennard-Jones input (abridged to the lines the run
@@ -76,7 +78,7 @@ impl UrlStore {
 
     /// Registers (or replaces) content for a URL.
     pub fn put(&mut self, url: &str, content: impl Into<String>) {
-        self.entries.insert(url.to_string(), content.into());
+        Arc::make_mut(&mut self.entries).insert(url.to_string(), content.into());
     }
 
     /// Fetches content for a URL.
@@ -106,5 +108,18 @@ mod tests {
         store.put("u", "v1");
         store.put("u", "v2");
         assert_eq!(store.get("u"), Some("v2"));
+    }
+
+    #[test]
+    fn clones_share_until_one_is_written() {
+        let mut store = UrlStore::new();
+        store.put("u", "v1");
+        let mut copy = store.clone();
+        assert!(Arc::ptr_eq(&store.entries, &copy.entries));
+        copy.put("u", "v2");
+        copy.put("w", "x");
+        assert_eq!(store.get("u"), Some("v1"));
+        assert_eq!(store.get("w"), None);
+        assert_eq!(copy.get("u"), Some("v2"));
     }
 }
